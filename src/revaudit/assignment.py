@@ -8,20 +8,18 @@ similarity sum at that integer resolution.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import networkx as nx
 
-from .dataset import ReviewDataset, VenuePolicy
+from .artifacts import read_csv, write_csv
+from .dataset import Pair, ReviewDataset, VenuePolicy
 from .errors import InfeasibleAssignmentError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .citations import CitationRelation
-
-Pair = tuple[str, str]
 
 SCALE = 10**6
 
@@ -286,40 +284,29 @@ def forbidden_from_bids(dataset: ReviewDataset) -> frozenset[Pair]:
 
 def load_similarity(path: Path | str, forbidden: frozenset[Pair] = frozenset()) -> SimilarityMatrix:
     sim: dict[Pair, float] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                pair = (row["submission_id"], row["reviewer_id"])
-                sim[pair] = float(row["sim"])
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"bad similarity row {row!r}") from exc
+    for row in read_csv(path):
+        try:
+            pair = (row["submission_id"], row["reviewer_id"])
+            sim[pair] = float(row["sim"])
+        except (KeyError, ValueError) as exc:
+            raise ValidationError(f"bad similarity row {row!r}") from exc
     return SimilarityMatrix(sim=sim, forbidden=frozenset(forbidden))
 
 
 def save_assignment(assignment: Assignment, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["submission_id", "reviewer_id"])
-        writer.writerows(assignment.sorted_pairs())
+    write_csv(path, ["submission_id", "reviewer_id"], assignment.sorted_pairs())
 
 
 def load_assignment_pairs(path: Path | str) -> set[Pair]:
-    pairs: set[Pair] = set()
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            pairs.add((row["submission_id"], row["reviewer_id"]))
-    return pairs
+    return {(row["submission_id"], row["reviewer_id"]) for row in read_csv(path)}
 
 
 def load_edits(path: Path | str) -> list[AssignmentEdit]:
-    edits = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            edits.append(
-                AssignmentEdit(
-                    action=row["action"].strip().lower(),
-                    submission_id=row["submission_id"],
-                    reviewer_id=row["reviewer_id"],
-                )
-            )
-    return edits
+    return [
+        AssignmentEdit(
+            action=row["action"].strip().lower(),
+            submission_id=row["submission_id"],
+            reviewer_id=row["reviewer_id"],
+        )
+        for row in read_csv(path)
+    ]

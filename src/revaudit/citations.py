@@ -8,7 +8,6 @@ collisions in the pool instead of guessing.
 
 from __future__ import annotations
 
-import csv
 import re
 import unicodedata
 import warnings
@@ -17,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Reviewer, ReviewDataset
+from .artifacts import read_csv, read_json, write_csv, write_json
+from .dataset import Pair, Reviewer, ReviewDataset
 from .errors import ValidationError
-
-Pair = tuple[str, str]
 
 CITED = "CITED"
 UNCITED = "UNCITED"
@@ -403,28 +401,22 @@ def audit_sample(
 def load_overrides_csv(path: Path | str) -> dict[Pair, bool]:
     """Read manual verdicts: columns submission_id, reviewer_id, cited in {0,1}."""
     overrides: dict[Pair, bool] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                flag = int(row["cited"])
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"bad override row {row!r}") from exc
-            if flag not in (0, 1):
-                raise ValidationError(f"override cited must be 0 or 1, got {flag}")
-            overrides[(row["submission_id"], row["reviewer_id"])] = bool(flag)
+    for row in read_csv(path):
+        try:
+            flag = int(row["cited"])
+        except (KeyError, ValueError) as exc:
+            raise ValidationError(f"bad override row {row!r}") from exc
+        if flag not in (0, 1):
+            raise ValidationError(f"override cited must be 0 or 1, got {flag}")
+        overrides[(row["submission_id"], row["reviewer_id"])] = bool(flag)
     return overrides
 
 
 def save_pairs_csv(pairs: list[Pair], path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["submission_id", "reviewer_id"])
-        writer.writerows(pairs)
+    write_csv(path, ["submission_id", "reviewer_id"], pairs)
 
 
 def save_relation(relation: CitationRelation, path: Path | str) -> None:
-    import json
-
     rows = []
     for pair in relation.pairs():
         row = {
@@ -436,17 +428,11 @@ def save_relation(relation: CitationRelation, path: Path | str) -> None:
         if pair in relation.overrides:
             row["override"] = relation.overrides[pair]
         rows.append(row)
-    payload = {"pairs": rows, "warnings": list(relation.warnings)}
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {"pairs": rows, "warnings": list(relation.warnings)})
 
 
 def load_relation(path: Path | str) -> CitationRelation:
-    import json
-
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     cited: dict[Pair, bool] = {}
     ambiguous: set[Pair] = set()
     overrides: dict[Pair, bool] = {}

@@ -23,6 +23,7 @@ from . import parametric as par
 from . import ranking as rnk
 from . import reporting as rpt
 from . import synthetic as syn
+from .artifacts import read_json, write_json
 from .dataset import (
     REVIEWS_FILE,
     VENUE_FILE,
@@ -113,9 +114,7 @@ def ingest(workdir, venue_config):
         "n_reviews": n_reviews,
         "n_withdrawn": sum(1 for s in dataset.submissions.values() if s.withdrawn),
     }
-    with (wd / INGEST_REPORT_FILE).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(wd / INGEST_REPORT_FILE, payload)
     click.echo(
         f"ingested {n_reviewers} reviewers, {n_submissions} submissions, "
         f"{n_reviews} reviews"
@@ -131,10 +130,7 @@ def ingest(workdir, venue_config):
 def simulate(workdir, policy, seed, config_path):
     """Generate a synthetic conference with planted ground truth."""
     wd = _workdir(workdir)
-    overrides = {}
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+    overrides = read_json(config_path) if config_path else {}
     overrides["policy"] = policy
     overrides["seed"] = seed
     config = syn.GeneratorConfig.from_dict(overrides)
@@ -271,9 +267,7 @@ def filter_cmd(workdir, venue_config):
     flt.save_filter_report(report, wd / FILTER_REPORT_FILE)
     flt.save_exclusions_csv(dataset, wd / EXCLUSIONS_FILE)
     missing = flt.missingness_report(dataset, relation)
-    with (wd / MISSINGNESS_FILE).open("w", encoding="utf-8") as fh:
-        json.dump(missing.as_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(wd / MISSINGNESS_FILE, missing.as_dict())
     click.echo(
         f"retained {report.eligible_submissions} submissions / "
         f"{report.retained_pairs} pairs; dropped {report.dropped_missing} for "

@@ -9,13 +9,13 @@ strings) supplements submissions whose inline entries are empty.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
+from .artifacts import read_json, read_jsonl, write_json, write_jsonl
 from .errors import ParseError, ReferentialError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,6 +26,8 @@ REVIEWERS_FILE = "reviewers.jsonl"
 SUBMISSIONS_FILE = "submissions.jsonl"
 REVIEWS_FILE = "reviews.jsonl"
 REFERENCES_FILE = "references.jsonl"
+
+Pair = tuple[str, str]
 
 
 class VenuePolicy(str, Enum):
@@ -38,6 +40,10 @@ class VenuePolicy(str, Enum):
 # Covariate names entering the differenced regression, in model order.
 EC_COVARIATES = ("sr_expertise", "pref_perc", "missing_pref", "seniority")
 ICML_COVARIATES = ("sr_expertise", "sr_confidence", "text_overlap", "bid", "seniority")
+
+# ICML-like review fields that may be absent; a pair missing any of them is
+# dropped from the analysis.
+ICML_OPTIONAL_FIELDS = ("sr_confidence", "text_overlap", "bid")
 
 
 def policy_covariates(policy: VenuePolicy) -> tuple[str, ...]:
@@ -132,7 +138,7 @@ class ReviewRecord:
         return f"review ({self.submission_id!r}, {self.reviewer_id!r})"
 
     @property
-    def pair(self) -> tuple[str, str]:
+    def pair(self) -> Pair:
         return (self.submission_id, self.reviewer_id)
 
 
@@ -157,7 +163,7 @@ class ReviewDataset:
     reviewers: dict[str, Reviewer]
     submissions: dict[str, Submission]
     reviews: tuple[ReviewRecord, ...]
-    derived: dict[tuple[str, str], DerivedCovariates] | None = None
+    derived: dict[Pair, DerivedCovariates] | None = None
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -167,7 +173,7 @@ class ReviewDataset:
         """Submissions that were not withdrawn, in id order."""
         return [s for _, s in sorted(self.submissions.items()) if not s.withdrawn]
 
-    def review_pairs(self) -> set[tuple[str, str]]:
+    def review_pairs(self) -> set[Pair]:
         return {r.pair for r in self.reviews}
 
     def reviews_by_submission(self) -> dict[str, list[ReviewRecord]]:
@@ -185,12 +191,7 @@ class SummaryTable:
     fraction_with_cited: float
 
     def as_dict(self) -> dict:
-        return {
-            "n_reviewers": self.n_reviewers,
-            "n_submissions": self.n_submissions,
-            "n_with_cited_reviewer": self.n_with_cited_reviewer,
-            "fraction_with_cited": self.fraction_with_cited,
-        }
+        return asdict(self)
 
     def format_text(self) -> str:
         pct = round(self.fraction_with_cited * 100)
@@ -204,24 +205,6 @@ class SummaryTable:
         )
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path.name}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path.name}:{lineno}: expected a JSON object")
-            yield lineno, obj
-
-
 def _build(cls, path: Path, lineno: int, obj: dict):
     try:
         return cls(**obj)
@@ -233,11 +216,7 @@ def _build(cls, path: Path, lineno: int, obj: dict):
 
 def load_venue_config(path: Path | str) -> VenueConfig:
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path.name}: malformed JSON ({exc.msg})") from exc
+    raw = read_json(path)
     try:
         policy = VenuePolicy(raw["venue_policy"])
     except (KeyError, ValueError) as exc:
@@ -266,7 +245,7 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
 
     reviewers: dict[str, Reviewer] = {}
     rev_path = root / REVIEWERS_FILE
-    for lineno, obj in _read_jsonl(rev_path):
+    for lineno, obj in read_jsonl(rev_path):
         reviewer = _build(Reviewer, rev_path, lineno, obj)
         if reviewer.id in reviewers:
             raise ValidationError(f"{rev_path.name}:{lineno}: duplicate reviewer id {reviewer.id!r}")
@@ -274,7 +253,7 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
 
     submissions: dict[str, Submission] = {}
     sub_path = root / SUBMISSIONS_FILE
-    for lineno, obj in _read_jsonl(sub_path):
+    for lineno, obj in read_jsonl(sub_path):
         if "reference_entries" in obj:
             obj["reference_entries"] = tuple(obj["reference_entries"])
         submission = _build(Submission, sub_path, lineno, obj)
@@ -286,7 +265,7 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
 
     ref_path = root / REFERENCES_FILE
     if ref_path.exists():
-        for lineno, obj in _read_jsonl(ref_path):
+        for lineno, obj in read_jsonl(ref_path):
             sid = obj.get("submission_id")
             if sid not in submissions:
                 raise ReferentialError(
@@ -298,9 +277,9 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
                 )
 
     reviews: list[ReviewRecord] = []
-    seen_pairs: set[tuple[str, str]] = set()
+    seen_pairs: set[Pair] = set()
     review_path = root / REVIEWS_FILE
-    for lineno, obj in _read_jsonl(review_path):
+    for lineno, obj in read_jsonl(review_path):
         record = _build(ReviewRecord, review_path, lineno, obj)
         if record.submission_id not in submissions:
             raise ReferentialError(
@@ -410,22 +389,22 @@ def save_dataset(dataset: ReviewDataset, path: Path | str) -> None:
     """Write the canonical serialization; ``load_dataset`` round-trips it byte-identically."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    with (root / VENUE_FILE).open("w", encoding="utf-8") as fh:
-        json.dump(venue_config_dict(dataset.config), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with (root / REVIEWERS_FILE).open("w", encoding="utf-8") as fh:
-        for _, reviewer in sorted(dataset.reviewers.items()):
-            fh.write(_json_line(_reviewer_dict(reviewer)))
-    with (root / SUBMISSIONS_FILE).open("w", encoding="utf-8") as fh:
-        for _, submission in sorted(dataset.submissions.items()):
-            fh.write(_json_line(_submission_dict(submission)))
-    with (root / REVIEWS_FILE).open("w", encoding="utf-8") as fh:
-        for record in sorted(dataset.reviews, key=lambda r: r.pair):
-            fh.write(_json_line(_review_dict(record)))
+    write_json(root / VENUE_FILE, venue_config_dict(dataset.config))
+    write_jsonl(
+        root / REVIEWERS_FILE, (_reviewer_dict(r) for _, r in sorted(dataset.reviewers.items()))
+    )
+    write_jsonl(
+        root / SUBMISSIONS_FILE,
+        (_submission_dict(s) for _, s in sorted(dataset.submissions.items())),
+    )
+    write_jsonl(
+        root / REVIEWS_FILE,
+        (_review_dict(r) for r in sorted(dataset.reviews, key=lambda r: r.pair)),
+    )
 
 
-def _ec_missing(value: int | None) -> bool:
-    # The venue reserves a stored 0 for "not reported", so 0 counts as missing.
+def ec_preference_missing(value: int | None) -> bool:
+    """EC-like venues store 0 for "not reported", so 0 counts as missing."""
     return value is None or value == 0
 
 
@@ -442,7 +421,7 @@ def derive_covariates(dataset: ReviewDataset) -> ReviewDataset:
     values.
     """
     policy = dataset.config.venue_policy
-    derived: dict[tuple[str, str], DerivedCovariates] = {}
+    derived: dict[Pair, DerivedCovariates] = {}
 
     if policy == VenuePolicy.EC_LIKE:
         by_reviewer: dict[str, list[int]] = {}
@@ -452,7 +431,7 @@ def derive_covariates(dataset: ReviewDataset) -> ReviewDataset:
         for record in dataset.reviews:
             seniority = dataset.reviewers[record.reviewer_id].seniority
             pref = record.preference_value
-            if _ec_missing(pref):
+            if ec_preference_missing(pref):
                 pref_perc, missing = 0.0, 1
             elif pref < 0:
                 warnings.warn(

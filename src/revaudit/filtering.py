@@ -8,16 +8,23 @@ whole submissions with an adjudicated missing-citation complaint.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 
+from .artifacts import read_json, read_jsonl, write_csv, write_json, write_jsonl
 from .citations import CitationRelation
-from .dataset import ReviewDataset, VenueConfig, VenuePolicy, derive_covariates
+from .dataset import (
+    ICML_OPTIONAL_FIELDS,
+    Pair,
+    ReviewDataset,
+    ReviewRecord,
+    VenueConfig,
+    VenuePolicy,
+    derive_covariates,
+    ec_preference_missing,
+)
 from .errors import NoAnalyzableDataError, ValidationError
-
-Pair = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -63,17 +70,24 @@ class FilterReport:
     retained_pairs: int
 
     def as_dict(self) -> dict:
-        return {
-            "eligible_submissions": self.eligible_submissions,
-            "dropped_missing": self.dropped_missing,
-            "excluded_submissions": self.excluded_submissions,
-            "retained_pairs": self.retained_pairs,
-        }
+        return asdict(self)
 
 
-def _strata_ok(records, relation: CitationRelation) -> bool:
+def _both_strata(records: list[ReviewRecord], relation: CitationRelation) -> bool:
+    """At least one cited and one uncited review (hence at least two reviews)."""
     cited = sum(1 for r in records if relation.indicator(r.pair))
-    return cited >= 1 and cited < len(records)
+    return 0 < cited < len(records)
+
+
+def _eligible(dataset: ReviewDataset, relation: CitationRelation) -> dict[str, list[ReviewRecord]]:
+    """Reviews of each active submission that has both strata, keyed by id."""
+    by_submission = dataset.reviews_by_submission()
+    eligible = {}
+    for submission in dataset.active_submissions():
+        records = by_submission.get(submission.id, [])
+        if _both_strata(records, relation):
+            eligible[submission.id] = records
+    return eligible
 
 
 def filter_dataset(
@@ -92,30 +106,24 @@ def filter_dataset(
     """
     if dataset.derived is None:
         dataset = derive_covariates(dataset)
-    policy = dataset.config.venue_policy
-    by_submission = dataset.reviews_by_submission()
-
-    eligible: dict[str, list] = {}
-    for submission in dataset.active_submissions():
-        records = by_submission.get(submission.id, [])
-        if len(records) >= 2 and _strata_ok(records, relation):
-            eligible[submission.id] = records
+    eligible = _eligible(dataset, relation)
+    # Exclusion looks at every review, including those the missing-value
+    # policy drops below, so collect adjudicated submissions first.
+    adjudicated = {
+        sid for sid, records in eligible.items() if any(r.exclusion_adjudicated for r in records)
+    }
 
     dropped_missing = 0
-    if policy == VenuePolicy.ICML_LIKE:
-        recheck: dict[str, list] = {}
+    if dataset.config.venue_policy == VenuePolicy.ICML_LIKE:
+        recheck: dict[str, list[ReviewRecord]] = {}
         for sid, records in eligible.items():
             kept = [r for r in records if not dataset.derived[r.pair].droppable]
             dropped_missing += len(records) - len(kept)
-            if len(kept) >= 2 and _strata_ok(kept, relation):
+            if _both_strata(kept, relation):
                 recheck[sid] = kept
         eligible = recheck
 
-    excluded = sorted(
-        sid
-        for sid in eligible
-        if any(r.exclusion_adjudicated for r in by_submission[sid])
-    )
+    excluded = sorted(adjudicated.intersection(eligible))
     for sid in excluded:
         del eligible[sid]
 
@@ -124,23 +132,22 @@ def filter_dataset(
             "no analyzable data: no submission retains both cited and uncited reviews"
         )
 
+    by_pair = attrgetter("submission_id", "reviewer_id")
     out: dict[str, tuple[AnalysisRecord, ...]] = {}
     for sid in sorted(eligible):
         rows = []
-        for record in sorted(eligible[sid], key=lambda r: r.pair):
-            vector = dataset.derived[record.pair].covariate_vector
-            covariates = {name: value for name, value in vector}
-            if any(v is None for v in covariates.values()):
-                raise ValidationError(f"incomplete covariates survived filtering: {record.pair}")
-            score = float(record.score)
-            if scores is not None:
-                score = float(scores[record.pair])
+        for record in sorted(eligible[sid], key=by_pair):
+            pair = record.pair
+            covariates = dict(dataset.derived[pair].covariate_vector)
+            if None in covariates.values():
+                raise ValidationError(f"incomplete covariates survived filtering: {pair}")
+            score = float(record.score if scores is None else scores[pair])
             rows.append(
                 AnalysisRecord(
                     submission_id=sid,
                     reviewer_id=record.reviewer_id,
                     score=score,
-                    cited=relation.indicator(record.pair),
+                    cited=relation.indicator(pair),
                     covariates=covariates,
                 )
             )
@@ -171,26 +178,17 @@ class MissingnessReport:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        return {
-            "qualifying_pairs": self.qualifying_pairs,
-            "pairs_with_missing": self.pairs_with_missing,
-            "per_variable": self.per_variable,
-        }
+        return asdict(self)
 
 
 def missingness_report(dataset: ReviewDataset, relation: CitationRelation) -> MissingnessReport:
     """Per-variable missing counts among pairs that qualify for analysis
     (both strata present, before any filtering)."""
     policy = dataset.config.venue_policy
-    by_submission = dataset.reviews_by_submission()
-    qualifying = []
-    for submission in dataset.active_submissions():
-        records = by_submission.get(submission.id, [])
-        if len(records) >= 2 and _strata_ok(records, relation):
-            qualifying.extend(records)
+    qualifying = [r for records in _eligible(dataset, relation).values() for r in records]
 
     if policy == VenuePolicy.ICML_LIKE:
-        variables = ("sr_confidence", "text_overlap", "bid")
+        variables = ICML_OPTIONAL_FIELDS
         missing = {
             name: sum(1 for r in qualifying if getattr(r, name) is None) for name in variables
         }
@@ -198,12 +196,9 @@ def missingness_report(dataset: ReviewDataset, relation: CitationRelation) -> Mi
             1 for r in qualifying if any(getattr(r, name) is None for name in variables)
         )
     else:
-        # EC encodes "not reported" as 0, so a stored 0 counts as missing.
         missing = {
             "preference_value": sum(
-                1
-                for r in qualifying
-                if r.preference_value is None or r.preference_value == 0
+                1 for r in qualifying if ec_preference_missing(r.preference_value)
             )
         }
         any_missing = missing["preference_value"]
@@ -216,59 +211,45 @@ def missingness_report(dataset: ReviewDataset, relation: CitationRelation) -> Mi
 
 
 def save_filter_report(report: FilterReport, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, report.as_dict())
 
 
 def load_filter_report(path: Path | str) -> FilterReport:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return FilterReport(**raw)
+    return FilterReport(**read_json(path))
 
 
 def save_exclusions_csv(dataset: ReviewDataset, path: Path | str) -> None:
     """Audit trail of adjudicated pairs driving submission exclusion."""
-    rows = sorted(
-        (r.submission_id, r.reviewer_id)
-        for r in dataset.reviews
-        if r.exclusion_adjudicated
-    )
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["submission_id", "reviewer_id"])
-        writer.writerows(rows)
+    rows = sorted(r.pair for r in dataset.reviews if r.exclusion_adjudicated)
+    write_csv(path, ["submission_id", "reviewer_id"], rows)
+
+
+def _analysis_record_dict(record: AnalysisRecord) -> dict:
+    return {
+        "submission_id": record.submission_id,
+        "reviewer_id": record.reviewer_id,
+        "score": record.score,
+        "cited": record.cited,
+        "covariates": record.covariates,
+    }
 
 
 def save_analysis_dataset(analysis: AnalysisDataset, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for sid in analysis.submissions():
-            for record in analysis.by_submission[sid]:
-                obj = {
-                    "submission_id": record.submission_id,
-                    "reviewer_id": record.reviewer_id,
-                    "score": record.score,
-                    "cited": record.cited,
-                    "covariates": record.covariates,
-                }
-                fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(
+        path,
+        (
+            _analysis_record_dict(record)
+            for sid in analysis.submissions()
+            for record in analysis.by_submission[sid]
+        ),
+    )
 
 
 def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisDataset:
     by_submission: dict[str, list[AnalysisRecord]] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            record = AnalysisRecord(
-                submission_id=obj["submission_id"],
-                reviewer_id=obj["reviewer_id"],
-                score=obj["score"],
-                cited=obj["cited"],
-                covariates=obj["covariates"],
-            )
-            by_submission.setdefault(record.submission_id, []).append(record)
+    for _, obj in read_jsonl(path):
+        record = AnalysisRecord(**obj)
+        by_submission.setdefault(record.submission_id, []).append(record)
     return AnalysisDataset(
         config=config,
         by_submission={sid: tuple(rows) for sid, rows in by_submission.items()},

@@ -11,14 +11,13 @@ matching, so no reviewer joins more than one triple per submission.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .errors import NoAnalyzableDataError, SampleSizeError, ValidationError
 from .filtering import AnalysisDataset, AnalysisRecord
 
@@ -48,13 +47,7 @@ class PermutationResult:
     iterations: int
 
     def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "n_triples": self.n_triples,
-            "p_two_sided": self.p_two_sided,
-            "ci95_bootstrap": list(self.ci95_bootstrap) if self.ci95_bootstrap else None,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 def compatible(
@@ -239,49 +232,37 @@ def bootstrap_ci(
 
 
 def save_triples(triples: list[MatchedTriple], path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["submission_id", "cited_reviewer_id", "uncited_reviewer_id",
-             "score_cited", "score_uncited"]
-        )
-        for t in triples:
-            writer.writerow(
-                [t.submission_id, t.cited_reviewer_id, t.uncited_reviewer_id,
-                 t.score_cited, t.score_uncited]
-            )
+    write_csv(
+        path,
+        ["submission_id", "cited_reviewer_id", "uncited_reviewer_id",
+         "score_cited", "score_uncited"],
+        (
+            (t.submission_id, t.cited_reviewer_id, t.uncited_reviewer_id,
+             t.score_cited, t.score_uncited)
+            for t in triples
+        ),
+    )
 
 
 def load_triples(path: Path | str) -> list[MatchedTriple]:
-    triples = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            triples.append(
-                MatchedTriple(
-                    submission_id=row["submission_id"],
-                    cited_reviewer_id=row["cited_reviewer_id"],
-                    uncited_reviewer_id=row["uncited_reviewer_id"],
-                    score_cited=float(row["score_cited"]),
-                    score_uncited=float(row["score_uncited"]),
-                )
-            )
-    return triples
+    return [
+        MatchedTriple(
+            submission_id=row["submission_id"],
+            cited_reviewer_id=row["cited_reviewer_id"],
+            uncited_reviewer_id=row["uncited_reviewer_id"],
+            score_cited=float(row["score_cited"]),
+            score_uncited=float(row["score_uncited"]),
+        )
+        for row in read_csv(path)
+    ]
 
 
 def save_permutation_result(result: PermutationResult, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(result.as_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, result.as_dict())
 
 
 def load_permutation_result(path: Path | str) -> PermutationResult:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     ci = raw.get("ci95_bootstrap")
-    return PermutationResult(
-        statistic=raw["statistic"],
-        n_triples=raw["n_triples"],
-        p_two_sided=raw["p_two_sided"],
-        ci95_bootstrap=tuple(ci) if ci else None,
-        iterations=raw["iterations"],
-    )
+    raw["ci95_bootstrap"] = tuple(ci) if ci else None
+    return PermutationResult(**raw)

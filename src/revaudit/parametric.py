@@ -11,16 +11,15 @@ n_c * n_u / (n_c + n_u).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
+from .artifacts import read_json, write_csv, write_json
 from .dataset import VenuePolicy, policy_covariates
 from .errors import RankDeficientError, SampleSizeError, ValidationError
 from .filtering import AnalysisDataset
@@ -53,17 +52,7 @@ class FitResult:
     df: int
 
     def as_dict(self) -> dict:
-        return {
-            "citation_effect": self.citation_effect,
-            "coefficients": self.coefficients,
-            "std_errors": self.std_errors,
-            "t_stats": self.t_stats,
-            "p_values": self.p_values,
-            "ci95": list(self.ci95),
-            "noise_scale_hat": self.noise_scale_hat,
-            "n_rows": self.n_rows,
-            "df": self.df,
-        }
+        return asdict(self)
 
 
 def build_rows(analysis: AnalysisDataset) -> list[AnalysisRow]:
@@ -242,24 +231,15 @@ def diagnostics(fit: FitResult, rows: list[AnalysisRow], policy: VenuePolicy) ->
 
 
 def save_fit(fit: FitResult, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(fit.as_dict(), fh, sort_keys=True, indent=2, allow_nan=True)
-        fh.write("\n")
+    write_json(path, fit.as_dict())
 
 
 def load_fit(path: Path | str) -> FitResult:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     raw["ci95"] = tuple(raw["ci95"])
     return FitResult(**raw)
 
 
 def save_diagnostics(bundle: DiagnosticsBundle, residuals_path: Path | str, qq_path: Path | str) -> None:
-    with Path(residuals_path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fitted", "weighted_residual"])
-        writer.writerows(bundle.residuals_vs_fitted)
-    with Path(qq_path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theoretical_quantile", "sample_quantile"])
-        writer.writerows(bundle.qq)
+    write_csv(residuals_path, ["fitted", "weighted_residual"], bundle.residuals_vs_fitted)
+    write_csv(qq_path, ["theoretical_quantile", "sample_quantile"], bundle.qq)

@@ -8,17 +8,14 @@ submission; improvements are reported as percent of the submission count.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ReviewDataset
+from .artifacts import write_csv, write_json
+from .dataset import Pair, ReviewDataset
 from .errors import NoAnalyzableDataError, ValidationError
-
-Pair = tuple[str, str]
 
 AVERAGE_OVER_PAIRS = "pairs"
 AVERAGE_OVER_SUBMISSIONS = "submissions"
@@ -108,11 +105,9 @@ def rank_improvement(
 
 
 def save_ranking(outcome: RankingOutcome, json_path: Path | str, csv_path: Path | str) -> None:
-    with Path(json_path).open("w", encoding="utf-8") as fh:
-        json.dump(outcome.as_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with Path(csv_path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["submission_id", "reviewer_id", "improvement_pct"])
-        for pair in sorted(outcome.per_pair_improvement):
-            writer.writerow([pair[0], pair[1], outcome.per_pair_improvement[pair]])
+    write_json(json_path, outcome.as_dict())
+    write_csv(
+        csv_path,
+        ["submission_id", "reviewer_id", "improvement_pct"],
+        ((sid, rid, gain) for (sid, rid), gain in sorted(outcome.per_pair_improvement.items())),
+    )

@@ -6,10 +6,10 @@ the filter report so the table can never drift from the audit trail.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .artifacts import write_json
 from .dataset import VenueConfig, VenuePolicy
 from .errors import ValidationError
 from .filtering import AnalysisDataset, FilterReport
@@ -39,20 +39,7 @@ class BiasReport:
     caveats: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "venue_label": self.venue_label,
-            "analysis": self.analysis,
-            "n_submissions": self.n_submissions,
-            "n_reviewers": self.n_reviewers,
-            "n_pairs": self.n_pairs,
-            "statistic": self.statistic,
-            "ci95": list(self.ci95),
-            "p_two_sided": self.p_two_sided,
-            "scale_points": self.scale_points,
-            "missing_values": self.missing_values,
-            "missing_citations": self.missing_citations,
-            "caveats": list(self.caveats),
-        }
+        return asdict(self)
 
 
 def _check_statistic(statistic: float, config: VenueConfig) -> None:
@@ -196,10 +183,7 @@ def save_reports(
         "reports": [r.as_dict() for r in reports],
         "filter_report": filter_report.as_dict() if filter_report else None,
     }
-    with Path(json_path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(json_path, payload)
     text = render_reports_text(reports, filter_report)
-    with Path(text_path).open("w", encoding="utf-8") as fh:
-        fh.write(text)
+    Path(text_path).write_text(text, encoding="utf-8")
     return text

@@ -17,17 +17,20 @@ and deliberate key collisions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import norm
 
+from .artifacts import read_json, write_json, write_jsonl
 from .citations import CitationRelation, make_author_key
 from .dataset import (
     EC_COVARIATES,
     ICML_COVARIATES,
+    ICML_OPTIONAL_FIELDS,
+    Pair,
     Reviewer,
     ReviewDataset,
     ReviewRecord,
@@ -37,8 +40,6 @@ from .dataset import (
     derive_covariates,
 )
 from .errors import InfeasibleAssignmentError, ValidationError
-
-Pair = tuple[str, str]
 
 # Reviewer-pool surnames (with particles, hyphens, diacritics) and first names.
 POOL_LAST_NAMES = (
@@ -203,7 +204,7 @@ class GeneratorConfig:
         allowed_missing = (
             {"preference"}
             if self.venue.venue_policy == VenuePolicy.EC_LIKE
-            else {"sr_confidence", "text_overlap", "bid"}
+            else set(ICML_OPTIONAL_FIELDS)
         )
         for name, rate in self.missingness.items():
             if name not in allowed_missing:
@@ -338,7 +339,8 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
     if policy == VenuePolicy.ICML_LIKE:
         text_profile = rng.random(R) >= config.missingness.get("text_overlap", 0.0)
 
-    assign = np.argsort(rng.random((S, R)), axis=1)[:, :k]
+    # The k smallest of each row's uniform keys: a uniform k-subset.
+    assign = np.argpartition(rng.random((S, R)), k - 1, axis=1)[:, :k]
     assign.sort(axis=1)
 
     rho = config.confounder_correlation
@@ -387,28 +389,35 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
         for i, rid in enumerate(reviewer_ids)
     }
 
-    placeholder = config.venue.score_min
-    records: list[ReviewRecord] = []
-    for s in range(S):
-        for j in range(k):
-            r = int(assign[s, j])
-            kwargs = dict(
-                submission_id=submission_ids[s],
-                reviewer_id=reviewer_ids[r],
-                score=placeholder,
-                sr_expertise=int(expertise[s, j]),
-            )
-            if policy == VenuePolicy.ICML_LIKE:
-                if not conf_missing[s, j]:
-                    kwargs["sr_confidence"] = int(confidence[s, j])
-                if text_profile[r]:
-                    kwargs["text_overlap"] = float(text[s, j])
-                if not bid_missing[s, j]:
-                    kwargs["bid"] = int(bids[s, j])
-            else:
-                if not pref_missing[s, j]:
-                    kwargs["preference_value"] = int(preference[s, j])
-            records.append(ReviewRecord(**kwargs))
+    # Review fields in (submission, slot) order; records are built once the
+    # observed scores are known.  Plain lists index much faster than arrays.
+    reviewer_of = assign.ravel().tolist()
+    fields: list[dict] = [
+        dict(
+            submission_id=submission_ids[idx // k],
+            reviewer_id=reviewer_ids[r],
+            sr_expertise=level,
+        )
+        for idx, (r, level) in enumerate(zip(reviewer_of, expertise.ravel().tolist()))
+    ]
+    if policy == VenuePolicy.ICML_LIKE:
+        has_text = text_profile.tolist()
+        for kwargs, r, conf, no_conf, overlap, bid, no_bid in zip(
+            fields, reviewer_of, confidence.ravel().tolist(), conf_missing.ravel().tolist(),
+            text.ravel().tolist(), bids.ravel().tolist(), bid_missing.ravel().tolist(),
+        ):
+            if not no_conf:
+                kwargs["sr_confidence"] = conf
+            if has_text[r]:
+                kwargs["text_overlap"] = overlap
+            if not no_bid:
+                kwargs["bid"] = bid
+    else:
+        for kwargs, pref, no_pref in zip(
+            fields, preference.ravel().tolist(), pref_missing.ravel().tolist()
+        ):
+            if not no_pref:
+                kwargs["preference_value"] = pref
 
     # The linear predictor uses exactly the covariates the analysis will see:
     # EC missing preferences enter through the (pref_perc=0, missing_pref=1)
@@ -430,22 +439,20 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
             + coeffs["bid"] * bids
         )
     else:
+        placeholder = config.venue.score_min
         temp = ReviewDataset(
             config=config.venue,
             reviewers=reviewers,
             submissions={sid: Submission(id=sid) for sid in submission_ids},
-            reviews=tuple(records),
+            reviews=tuple(ReviewRecord(score=placeholder, **kwargs) for kwargs in fields),
         )
         derived = derive_covariates(temp).derived
         pref_perc = np.empty((S, k))
         missing_pref = np.empty((S, k))
-        idx = 0
-        for s in range(S):
-            for j in range(k):
-                cov = derived[records[idx].pair]
-                pref_perc[s, j] = cov.pref_perc
-                missing_pref[s, j] = cov.missing_pref
-                idx += 1
+        for idx, record in enumerate(temp.reviews):
+            cov = derived[record.pair]
+            pref_perc.flat[idx] = cov.pref_perc
+            missing_pref.flat[idx] = cov.missing_pref
         linear = linear + coeffs["pref_perc"] * pref_perc + coeffs["missing_pref"] * missing_pref
 
     latent = linear + noise
@@ -453,25 +460,19 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
         np.rint(latent), config.venue.score_min, config.venue.score_max
     ).astype(int)
 
-    final_records = []
-    idx = 0
-    for s in range(S):
-        for j in range(k):
-            final_records.append(replace(records[idx], score=int(observed[s, j])))
-            idx += 1
-    final_records.sort(key=lambda r: r.pair)
+    final_records = [
+        ReviewRecord(score=score, **kwargs)
+        for kwargs, score in zip(fields, observed.ravel().tolist())
+    ]
+    final_records.sort(key=attrgetter("submission_id", "reviewer_id"))
 
-    cited_map: dict[Pair, bool] = {}
-    latent_map: dict[Pair, float] = {}
-    for s in range(S):
-        for j in range(k):
-            pair = (submission_ids[s], reviewer_ids[int(assign[s, j])])
-            cited_map[pair] = bool(cited[s, j])
-            latent_map[pair] = float(latent[s, j])
+    pairs = [(kwargs["submission_id"], kwargs["reviewer_id"]) for kwargs in fields]
+    cited_map: dict[Pair, bool] = dict(zip(pairs, cited.ravel().tolist()))
+    latent_map: dict[Pair, float] = dict(zip(pairs, latent.ravel().tolist()))
 
     cited_by_submission: dict[str, list[int]] = {
-        submission_ids[s]: [int(assign[s, j]) for j in range(k) if cited[s, j]]
-        for s in range(S)
+        submission_ids[s]: [r for r, c in zip(row, cited_row) if c]
+        for s, (row, cited_row) in enumerate(zip(assign.tolist(), cited.tolist()))
     }
     submissions = {}
     for sid in submission_ids:
@@ -655,14 +656,11 @@ def save_ground_truth(truth: GroundTruth, path: Path | str) -> None:
         "quality": truth.quality,
         "pairs": pairs,
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_ground_truth(path: Path | str) -> GroundTruth:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     cited = {}
     latent = {}
     for row in payload["pairs"]:
@@ -678,7 +676,10 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
 
 
 def save_references_jsonl(dataset: ReviewDataset, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for sid, submission in sorted(dataset.submissions.items()):
-            obj = {"submission_id": sid, "entries": list(submission.reference_entries)}
-            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(
+        path,
+        (
+            {"submission_id": sid, "entries": list(submission.reference_entries)}
+            for sid, submission in sorted(dataset.submissions.items())
+        ),
+    )

@@ -199,3 +199,41 @@ def test_audit_sampling_writes_csvs(simulated, capsys):
     cited_rows = (simulated / "audit_cited.csv").read_text().splitlines()
     assert cited_rows[0] == "submission_id,reviewer_id"
     assert len(cited_rows) == 11
+
+
+@pytest.mark.parametrize(
+    "artifact, stages, command, where",
+    [
+        ("relation.json", [("extract-citations",)], ("filter",), "relation.json: "),
+        (
+            "analysis.jsonl",
+            [("extract-citations",), ("filter",)],
+            ("analyze", "--parametric"),
+            "analysis.jsonl:1: ",
+        ),
+        (
+            "fit.json",
+            [("extract-citations",), ("filter",), ("analyze", "--parametric")],
+            ("report",),
+            "fit.json: ",
+        ),
+        (
+            "gen.json",
+            [],
+            ("simulate", "--policy", "EC_LIKE", "--seed", "3", "--config", "gen.json"),
+            "gen.json: ",
+        ),
+    ],
+    ids=["relation", "analysis", "fit", "simulate-config"],
+)
+def test_malformed_artifact_is_parse_error(simulated, capsys, artifact, stages, command, where):
+    wd = str(simulated)
+    for stage in stages:
+        assert run(capsys, *stage, "--workdir", wd)[0] == 0
+    (simulated / artifact).write_text('{"truncated": \n')
+    command = [str(simulated / arg) if arg == artifact else arg for arg in command]
+    code, _, err = run(capsys, *command, "--workdir", wd)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(where)
