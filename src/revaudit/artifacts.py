@@ -7,17 +7,37 @@
   LF line endings.
 
 Fixed formats are what make reruns byte-identical.  Malformed JSON raises
-:class:`ParseError` naming the file (and the line, for JSON Lines).
+:class:`ParseError` naming the file (and the line, for JSON Lines); so does a
+well-formed file of the wrong shape, when its loader reads it inside
+:func:`parsing`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ParseError
+
+
+@contextmanager
+def parsing(path: Path | str) -> Iterator[None]:
+    """Turn a wrong-shaped record read in this block into a ParseError naming the file.
+
+    A missing key, a list where an object belongs or a value of the wrong
+    type surfaces in a loader as KeyError, TypeError, AttributeError or
+    ValueError.
+    """
+    name = Path(path).name
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{name}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ParseError(f"{name}: wrong shape ({exc})") from exc
 
 
 def write_json(path: Path | str, obj) -> None:

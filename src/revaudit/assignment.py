@@ -1,9 +1,13 @@
 """Paper-reviewer assignment maximizing similarity plus a weighted citation count.
 
-The objective sum(sim) + lambda * sum(cited) is solved exactly as an integral
-min-cost flow after scaling utilities to integers (x 1e6, round-half-even),
-so optimality never hinges on float comparisons.  Reported quality is the
-similarity sum at that integer resolution.
+The objective sum(sim) + lambda * sum(cited) is scaled to integer utilities
+(x 1e6, round-half-even) and solved as a sparse LP with HiGHS, in two stages:
+maximize utility, then keep that utility and minimize the sum of pair ranks.
+The reviewer-paper polytope is totally unimodular, so both vertices are
+integral; each is checked to be, and the utility of the chosen pairs is
+recomputed in integers, so optimality never hinges on float comparisons.  Any
+tie left after the rank sum is resolved by the solver, deterministically.
+Reported quality is the similarity sum at that integer resolution.
 """
 
 from __future__ import annotations
@@ -12,16 +16,19 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import networkx as nx
+import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
-from .artifacts import read_csv, write_csv
+from .artifacts import parsing, read_csv, write_csv
 from .dataset import Pair, ReviewDataset, VenuePolicy
-from .errors import InfeasibleAssignmentError, ValidationError
+from .errors import InfeasibleAssignmentError, SolverError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .citations import CitationRelation
 
 SCALE = 10**6
+INTEGRALITY_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,54 +120,74 @@ def solve(
 ) -> Assignment:
     """Exact maximizer of sum(sim) + lambda * sum(cited) under load constraints.
 
-    Deterministic: equal-objective solutions are broken toward
-    lexicographically earlier (submission_id, reviewer_id) pairs via an
-    integer rank perturbation below the objective's resolution.
+    Among the maximizers it picks one with the least sum of pair ranks (a
+    pair's position in ``sim.allowed_pairs()``); any tie left after that is
+    resolved by the solver, deterministically for the same input.
     """
     papers, reviewers = _check_feasible(sim, spec)
     allowed = sim.allowed_pairs()
     lam_scaled = round(spec.citation_weight * SCALE)
+    utility = np.array(
+        [
+            round(sim.sim[pair] * SCALE) + (lam_scaled if _cited(relation, pair) else 0)
+            for pair in allowed
+        ],
+        dtype=np.int64,
+    )
 
-    utilities: dict[Pair, int] = {}
-    for pair in allowed:
-        util = round(sim.sim[pair] * SCALE)
-        if _cited(relation, pair):
-            util += lam_scaled
-        utilities[pair] = util
+    paper_row = {paper: i for i, paper in enumerate(papers)}
+    reviewer_row = {reviewer: i for i, reviewer in enumerate(reviewers)}
+    columns = np.arange(len(allowed))
+    ones = np.ones(len(allowed))
+    by_paper = sparse.csr_array(
+        (ones, ([paper_row[p] for p, _ in allowed], columns)),
+        shape=(len(papers), len(allowed)),
+    )
+    by_reviewer = sparse.csr_array(
+        (ones, ([reviewer_row[r] for _, r in allowed], columns)),
+        shape=(len(reviewers), len(allowed)),
+    )
+    load = np.full(len(papers), float(spec.paper_load))
+    cap = np.full(len(reviewers), float(spec.reviewer_cap))
 
-    # Rank perturbation: dominate by M so the true objective always wins,
-    # then prefer assignments whose chosen pairs rank earlier.
-    n_selected = spec.paper_load * len(papers)
-    m_factor = n_selected * len(allowed) + 1
+    # Stage 1 finds the best utility U*; stage 2 minimizes the rank sum over
+    # the face utility = U*.  The polytope is totally unimodular and a face's
+    # vertices are vertices of the polytope, so both optima must be integral.
+    best = _integral_vertex(-utility, by_reviewer, cap, by_paper, load)
+    best_utility = int(utility[best].sum())
+    chosen = _integral_vertex(
+        columns.astype(float),
+        sparse.vstack([by_reviewer, -sparse.csr_array(utility.astype(float)[None, :])]),
+        np.append(cap, -float(best_utility)),
+        by_paper,
+        load,
+    )
+    if int(utility[chosen].sum()) != best_utility:
+        raise SolverError(
+            f"the rank stage reached utility {int(utility[chosen].sum())}, "
+            f"not the optimum {best_utility}"
+        )
+    return _as_assignment({allowed[i] for i in np.flatnonzero(chosen)}, sim, relation, spec)
 
-    graph = nx.DiGraph()
-    graph.add_node("src", demand=-n_selected)
-    graph.add_node("snk", demand=n_selected)
-    for paper in papers:
-        graph.add_node(("p", paper), demand=0)
-        graph.add_edge("src", ("p", paper), weight=0, capacity=spec.paper_load)
-    for reviewer in reviewers:
-        graph.add_node(("r", reviewer), demand=0)
-        graph.add_edge(("r", reviewer), "snk", weight=0, capacity=spec.reviewer_cap)
-    for rank, pair in enumerate(allowed):
-        paper, reviewer = pair
-        weight = -utilities[pair] * m_factor + rank
-        graph.add_edge(("p", paper), ("r", reviewer), weight=weight, capacity=1)
 
-    try:
-        flow = nx.min_cost_flow(graph)
-    except nx.NetworkXUnfeasible as exc:
+def _integral_vertex(cost, a_ub, b_ub, a_eq, b_eq) -> np.ndarray:
+    """Boolean selection of an optimal HiGHS vertex, which must be integral."""
+    # Presolve finds nothing to remove from a transportation LP and costs
+    # about as much as the simplex solve itself.
+    result = linprog(
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1),
+        method="highs", options={"presolve": False},
+    )
+    if result.status == 2:
         raise InfeasibleAssignmentError(
             "no feasible assignment: forbidden pairs make the load constraints unsatisfiable"
-        ) from exc
-
-    chosen: set[Pair] = set()
-    for paper in papers:
-        for (kind, reviewer), used in flow[("p", paper)].items():
-            if used:
-                chosen.add((paper, reviewer))
-
-    return _as_assignment(chosen, sim, relation, spec)
+        )
+    if result.status != 0:
+        raise SolverError(f"HiGHS failed: {result.message}")
+    rounded = np.round(result.x)
+    if np.max(np.abs(result.x - rounded)) > INTEGRALITY_TOLERANCE:
+        raise SolverError("HiGHS returned a fractional vertex")
+    return rounded == 1
 
 
 def _as_assignment(
@@ -298,15 +325,17 @@ def save_assignment(assignment: Assignment, path: Path | str) -> None:
 
 
 def load_assignment_pairs(path: Path | str) -> set[Pair]:
-    return {(row["submission_id"], row["reviewer_id"]) for row in read_csv(path)}
+    with parsing(path):
+        return {(row["submission_id"], row["reviewer_id"]) for row in read_csv(path)}
 
 
 def load_edits(path: Path | str) -> list[AssignmentEdit]:
-    return [
-        AssignmentEdit(
-            action=row["action"].strip().lower(),
-            submission_id=row["submission_id"],
-            reviewer_id=row["reviewer_id"],
-        )
-        for row in read_csv(path)
-    ]
+    with parsing(path):
+        return [
+            AssignmentEdit(
+                action=row["action"].strip().lower(),
+                submission_id=row["submission_id"],
+                reviewer_id=row["reviewer_id"],
+            )
+            for row in read_csv(path)
+        ]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_csv, read_json, write_csv, write_json
+from .artifacts import parsing, read_csv, read_json, write_csv, write_json
 from .dataset import Pair, Reviewer, ReviewDataset
 from .errors import ValidationError
 
@@ -432,20 +432,22 @@ def save_relation(relation: CitationRelation, path: Path | str) -> None:
 
 
 def load_relation(path: Path | str) -> CitationRelation:
-    payload = read_json(path)
     cited: dict[Pair, bool] = {}
     ambiguous: set[Pair] = set()
     overrides: dict[Pair, bool] = {}
-    for row in payload["pairs"]:
-        pair = (row["submission_id"], row["reviewer_id"])
-        cited[pair] = row["cited"]
-        if row.get("ambiguous"):
-            ambiguous.add(pair)
-        if "override" in row:
-            overrides[pair] = row["override"]
+    with parsing(path):
+        payload = read_json(path)
+        for row in payload["pairs"]:
+            pair = (row["submission_id"], row["reviewer_id"])
+            cited[pair] = row["cited"]
+            if row.get("ambiguous"):
+                ambiguous.add(pair)
+            if "override" in row:
+                overrides[pair] = row["override"]
+        warnings = tuple(payload.get("warnings", ()))
     return CitationRelation(
         cited=cited,
         ambiguous_pairs=frozenset(ambiguous),
         overrides=overrides,
-        warnings=tuple(payload.get("warnings", ())),
+        warnings=warnings,
     )

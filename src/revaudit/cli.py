@@ -23,7 +23,7 @@ from . import parametric as par
 from . import ranking as rnk
 from . import reporting as rpt
 from . import synthetic as syn
-from .artifacts import read_json, write_json
+from .artifacts import parsing, read_json, write_json
 from .dataset import (
     REVIEWS_FILE,
     VENUE_FILE,
@@ -130,10 +130,11 @@ def ingest(workdir, venue_config):
 def simulate(workdir, policy, seed, config_path):
     """Generate a synthetic conference with planted ground truth."""
     wd = _workdir(workdir)
-    overrides = read_json(config_path) if config_path else {}
-    overrides["policy"] = policy
-    overrides["seed"] = seed
-    config = syn.GeneratorConfig.from_dict(overrides)
+    overrides = {}
+    if config_path:
+        with parsing(config_path):
+            overrides = {**read_json(config_path)}
+    config = syn.GeneratorConfig.from_dict({**overrides, "policy": policy, "seed": seed})
     dataset, relation, truth = syn.generate(config)
     save_dataset(dataset, wd)
     syn.save_references_jsonl(dataset, wd / REFERENCES_FILE)

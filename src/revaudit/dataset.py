@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .artifacts import read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import parsing, read_json, read_jsonl, write_json, write_jsonl
 from .errors import ParseError, ReferentialError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -216,19 +216,22 @@ def _build(cls, path: Path, lineno: int, obj: dict):
 
 def load_venue_config(path: Path | str) -> VenueConfig:
     path = Path(path)
-    raw = read_json(path)
-    try:
-        policy = VenuePolicy(raw["venue_policy"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"{path.name}: unknown venue_policy") from exc
-    return VenueConfig(
-        score_min=raw["score_min"],
-        score_max=raw["score_max"],
-        venue_policy=policy,
-        expertise_scale=tuple(raw.get("expertise_scale", (1, 4))),
-        bid_scale=tuple(raw["bid_scale"]) if "bid_scale" in raw else None,
-        preference_range=tuple(raw["preference_range"]) if "preference_range" in raw else None,
-    )
+    with parsing(path):
+        raw = read_json(path)
+        try:
+            policy = VenuePolicy(raw["venue_policy"])
+        except (KeyError, ValueError) as exc:
+            raise ValidationError(f"{path.name}: unknown venue_policy") from exc
+        return VenueConfig(
+            score_min=raw["score_min"],
+            score_max=raw["score_max"],
+            venue_policy=policy,
+            expertise_scale=tuple(raw.get("expertise_scale", (1, 4))),
+            bid_scale=tuple(raw["bid_scale"]) if "bid_scale" in raw else None,
+            preference_range=(
+                tuple(raw["preference_range"]) if "preference_range" in raw else None
+            ),
+        )
 
 
 def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewDataset:
@@ -420,8 +423,26 @@ def derive_covariates(dataset: ReviewDataset) -> ReviewDataset:
     Idempotent: re-deriving replaces the attached covariates with identical
     values.
     """
+    derived = {
+        pair: DerivedCovariates(pref_perc, missing, vector)
+        for pair, (pref_perc, missing, vector) in covariate_values(dataset).items()
+    }
+    return replace(dataset, derived=derived)
+
+
+def covariate_values(
+    dataset: ReviewDataset,
+) -> dict[Pair, tuple[float | None, int | None, tuple[tuple[str, float | None], ...]]]:
+    """``(pref_perc, missing_pref, covariate_vector)`` per pair, as in
+    :func:`derive_covariates`.
+
+    Plain tuples, not one :class:`DerivedCovariates` per pair: the bulk
+    callers (``filter_dataset``, ``generate``) only read the values, and
+    thousands of dataclass instances cost construction time and
+    garbage-collector work.
+    """
     policy = dataset.config.venue_policy
-    derived: dict[Pair, DerivedCovariates] = {}
+    derived: dict[Pair, tuple] = {}
 
     if policy == VenuePolicy.EC_LIKE:
         by_reviewer: dict[str, list[int]] = {}
@@ -451,9 +472,7 @@ def derive_covariates(dataset: ReviewDataset) -> ReviewDataset:
                 ("missing_pref", float(missing)),
                 ("seniority", float(seniority)),
             )
-            derived[record.pair] = DerivedCovariates(
-                pref_perc=pref_perc, missing_pref=missing, covariate_vector=vector
-            )
+            derived[record.pair] = (pref_perc, missing, vector)
     else:
         for record in dataset.reviews:
             seniority = dataset.reviewers[record.reviewer_id].seniority
@@ -467,11 +486,8 @@ def derive_covariates(dataset: ReviewDataset) -> ReviewDataset:
                 ("bid", None if record.bid is None else float(record.bid)),
                 ("seniority", float(seniority)),
             )
-            derived[record.pair] = DerivedCovariates(
-                pref_perc=None, missing_pref=None, covariate_vector=vector
-            )
-
-    return replace(dataset, derived=derived)
+            derived[record.pair] = (None, None, vector)
+    return derived
 
 
 def summarize(dataset: ReviewDataset, relation: "CitationRelation") -> SummaryTable:

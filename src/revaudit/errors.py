@@ -26,6 +26,10 @@ class InfeasibleAssignmentError(RevauditError):
     """No assignment satisfies the load constraints."""
 
 
+class SolverError(RevauditError):
+    """The LP solver failed or returned a vertex that is not integral."""
+
+
 class NoAnalyzableDataError(RevauditError):
     """Filtering or matching left no usable observations."""
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .artifacts import read_json, read_jsonl, write_csv, write_json, write_jsonl
+from .artifacts import parsing, read_json, read_jsonl, write_csv, write_json, write_jsonl
 from .citations import CitationRelation
 from .dataset import (
     ICML_OPTIONAL_FIELDS,
@@ -21,7 +21,7 @@ from .dataset import (
     ReviewRecord,
     VenueConfig,
     VenuePolicy,
-    derive_covariates,
+    covariate_values,
     ec_preference_missing,
 )
 from .errors import NoAnalyzableDataError, ValidationError
@@ -105,7 +105,9 @@ def filter_dataset(
     stored dataset.
     """
     if dataset.derived is None:
-        dataset = derive_covariates(dataset)
+        vectors = {pair: values[2] for pair, values in covariate_values(dataset).items()}
+    else:
+        vectors = {pair: derived.covariate_vector for pair, derived in dataset.derived.items()}
     eligible = _eligible(dataset, relation)
     # Exclusion looks at every review, including those the missing-value
     # policy drops below, so collect adjudicated submissions first.
@@ -117,7 +119,7 @@ def filter_dataset(
     if dataset.config.venue_policy == VenuePolicy.ICML_LIKE:
         recheck: dict[str, list[ReviewRecord]] = {}
         for sid, records in eligible.items():
-            kept = [r for r in records if not dataset.derived[r.pair].droppable]
+            kept = [r for r in records if all(v is not None for _, v in vectors[r.pair])]
             dropped_missing += len(records) - len(kept)
             if _both_strata(kept, relation):
                 recheck[sid] = kept
@@ -138,7 +140,7 @@ def filter_dataset(
         rows = []
         for record in sorted(eligible[sid], key=by_pair):
             pair = record.pair
-            covariates = dict(dataset.derived[pair].covariate_vector)
+            covariates = dict(vectors[pair])
             if None in covariates.values():
                 raise ValidationError(f"incomplete covariates survived filtering: {pair}")
             score = float(record.score if scores is None else scores[pair])
@@ -215,7 +217,8 @@ def save_filter_report(report: FilterReport, path: Path | str) -> None:
 
 
 def load_filter_report(path: Path | str) -> FilterReport:
-    return FilterReport(**read_json(path))
+    with parsing(path):
+        return FilterReport(**read_json(path))
 
 
 def save_exclusions_csv(dataset: ReviewDataset, path: Path | str) -> None:
@@ -247,9 +250,10 @@ def save_analysis_dataset(analysis: AnalysisDataset, path: Path | str) -> None:
 
 def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisDataset:
     by_submission: dict[str, list[AnalysisRecord]] = {}
-    for _, obj in read_jsonl(path):
-        record = AnalysisRecord(**obj)
-        by_submission.setdefault(record.submission_id, []).append(record)
+    with parsing(path):
+        for _, obj in read_jsonl(path):
+            record = AnalysisRecord(**obj)
+            by_submission.setdefault(record.submission_id, []).append(record)
     return AnalysisDataset(
         config=config,
         by_submission={sid: tuple(rows) for sid, rows in by_submission.items()},

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_csv, read_json, write_csv, write_json
+from .artifacts import parsing, read_csv, read_json, write_csv, write_json
 from .errors import NoAnalyzableDataError, SampleSizeError, ValidationError
 from .filtering import AnalysisDataset, AnalysisRecord
 
@@ -245,16 +245,17 @@ def save_triples(triples: list[MatchedTriple], path: Path | str) -> None:
 
 
 def load_triples(path: Path | str) -> list[MatchedTriple]:
-    return [
-        MatchedTriple(
-            submission_id=row["submission_id"],
-            cited_reviewer_id=row["cited_reviewer_id"],
-            uncited_reviewer_id=row["uncited_reviewer_id"],
-            score_cited=float(row["score_cited"]),
-            score_uncited=float(row["score_uncited"]),
-        )
-        for row in read_csv(path)
-    ]
+    with parsing(path):
+        return [
+            MatchedTriple(
+                submission_id=row["submission_id"],
+                cited_reviewer_id=row["cited_reviewer_id"],
+                uncited_reviewer_id=row["uncited_reviewer_id"],
+                score_cited=float(row["score_cited"]),
+                score_uncited=float(row["score_uncited"]),
+            )
+            for row in read_csv(path)
+        ]
 
 
 def save_permutation_result(result: PermutationResult, path: Path | str) -> None:
@@ -262,7 +263,8 @@ def save_permutation_result(result: PermutationResult, path: Path | str) -> None
 
 
 def load_permutation_result(path: Path | str) -> PermutationResult:
-    raw = read_json(path)
-    ci = raw.get("ci95_bootstrap")
-    raw["ci95_bootstrap"] = tuple(ci) if ci else None
-    return PermutationResult(**raw)
+    with parsing(path):
+        raw = read_json(path)
+        ci = raw.get("ci95_bootstrap")
+        raw["ci95_bootstrap"] = tuple(ci) if ci else None
+        return PermutationResult(**raw)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .artifacts import read_json, write_csv, write_json
+from .artifacts import parsing, read_json, write_csv, write_json
 from .dataset import VenuePolicy, policy_covariates
 from .errors import RankDeficientError, SampleSizeError, ValidationError
 from .filtering import AnalysisDataset
@@ -235,9 +235,10 @@ def save_fit(fit: FitResult, path: Path | str) -> None:
 
 
 def load_fit(path: Path | str) -> FitResult:
-    raw = read_json(path)
-    raw["ci95"] = tuple(raw["ci95"])
-    return FitResult(**raw)
+    with parsing(path):
+        raw = read_json(path)
+        raw["ci95"] = tuple(raw["ci95"])
+        return FitResult(**raw)
 
 
 def save_diagnostics(bundle: DiagnosticsBundle, residuals_path: Path | str, qq_path: Path | str) -> None:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import norm
 
-from .artifacts import read_json, write_json, write_jsonl
+from .artifacts import parsing, read_json, write_json, write_jsonl
 from .citations import CitationRelation, make_author_key
 from .dataset import (
     EC_COVARIATES,
@@ -37,7 +37,7 @@ from .dataset import (
     Submission,
     VenueConfig,
     VenuePolicy,
-    derive_covariates,
+    covariate_values,
 )
 from .errors import InfeasibleAssignmentError, ValidationError
 
@@ -276,13 +276,23 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GeneratorConfig":
+        """Build from a policy name plus parameter overrides; the policy fixes the venue."""
+        allowed = (set(cls.__dataclass_fields__) - {"venue"}) | {"policy"}
+        unknown = sorted(set(raw) - allowed)
+        if unknown:
+            raise ValidationError(
+                f"unknown generator parameter {', '.join(map(repr, unknown))}"
+            )
         raw = dict(raw)
-        policy = VenuePolicy(raw.pop("policy", "EC_LIKE"))
-        for key in ("expertise_weights", "confidence_weights", "bid_weights"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        maker = cls.ec_like if policy == VenuePolicy.EC_LIKE else cls.icml_like
-        return maker(**raw)
+        try:
+            policy = VenuePolicy(raw.pop("policy", "EC_LIKE"))
+            for key in ("expertise_weights", "confidence_weights", "bid_weights"):
+                if key in raw:
+                    raw[key] = tuple(raw[key])
+            maker = cls.ec_like if policy == VenuePolicy.EC_LIKE else cls.icml_like
+            return maker(**raw)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad generator parameters: {exc}") from exc
 
 
 def _with_default_pool(params: dict) -> dict:
@@ -446,13 +456,11 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
             submissions={sid: Submission(id=sid) for sid in submission_ids},
             reviews=tuple(ReviewRecord(score=placeholder, **kwargs) for kwargs in fields),
         )
-        derived = derive_covariates(temp).derived
+        derived = covariate_values(temp)
         pref_perc = np.empty((S, k))
         missing_pref = np.empty((S, k))
         for idx, record in enumerate(temp.reviews):
-            cov = derived[record.pair]
-            pref_perc.flat[idx] = cov.pref_perc
-            missing_pref.flat[idx] = cov.missing_pref
+            pref_perc.flat[idx], missing_pref.flat[idx], _ = derived[record.pair]
         linear = linear + coeffs["pref_perc"] * pref_perc + coeffs["missing_pref"] * missing_pref
 
     latent = linear + noise
@@ -660,19 +668,20 @@ def save_ground_truth(truth: GroundTruth, path: Path | str) -> None:
 
 
 def load_ground_truth(path: Path | str) -> GroundTruth:
-    payload = read_json(path)
     cited = {}
     latent = {}
-    for row in payload["pairs"]:
-        pair = (row["submission_id"], row["reviewer_id"])
-        cited[pair] = row["cited"]
-        latent[pair] = row["latent_score"]
-    return GroundTruth(
-        citation_bias=payload["citation_bias"],
-        quality=payload["quality"],
-        cited=cited,
-        latent_scores=latent,
-    )
+    with parsing(path):
+        payload = read_json(path)
+        for row in payload["pairs"]:
+            pair = (row["submission_id"], row["reviewer_id"])
+            cited[pair] = row["cited"]
+            latent[pair] = row["latent_score"]
+        return GroundTruth(
+            citation_bias=payload["citation_bias"],
+            quality=payload["quality"],
+            cited=cited,
+            latent_scores=latent,
+        )
 
 
 def save_references_jsonl(dataset: ReviewDataset, path: Path | str) -> None:

@@ -4,11 +4,15 @@ from dataclasses import replace
 
 import pytest
 
+from revaudit import assignment as asg
 from revaudit import citations as cit
+from revaudit import dataset as ds
 from revaudit import filtering as flt
 from revaudit import nonparametric as npar
 from revaudit import parametric as par
 from revaudit import synthetic as syn
+from revaudit.dataset import VenueConfig
+from revaudit.errors import ParseError
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +59,44 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
     save(load(first), second)
     assert first.read_bytes() == second.read_bytes()
     assert len(first.read_bytes()) > 0
+
+
+@pytest.mark.parametrize(
+    "load, name, content, message",
+    [
+        (cit.load_relation, "relation.json", "{}", "relation.json: missing key 'pairs'"),
+        (cit.load_relation, "relation.json", "[1]", "relation.json: wrong shape"),
+        (
+            cit.load_relation,
+            "relation.json",
+            '{"pairs": [{"submission_id": "s1", "cited": true}]}',
+            "relation.json: missing key 'reviewer_id'",
+        ),
+        (asg.load_edits, "edits.csv", "action,submission_id\nadd,s1\n",
+         "edits.csv: missing key 'reviewer_id'"),
+        (asg.load_edits, "edits.csv", "submission_id,reviewer_id,action\ns1,r1\n",
+         "edits.csv: wrong shape"),
+        (asg.load_assignment_pairs, "assignment.csv", "submission_id\ns1\n",
+         "assignment.csv: missing key 'reviewer_id'"),
+        (flt.load_filter_report, "filter_report.json", '{"bogus": 1}', "filter_report.json: "),
+        (lambda path: flt.load_analysis_dataset(path, VenueConfig.ec_like()),
+         "analysis.jsonl", '{"bogus": 1}\n', "analysis.jsonl: "),
+        (par.load_fit, "fit.json", "{}", "fit.json: missing key 'ci95'"),
+        (npar.load_triples, "triples.csv", "submission_id\ns1\n", "triples.csv: missing key"),
+        (npar.load_permutation_result, "permutation.json", "[]", "permutation.json: "),
+        (syn.load_ground_truth, "ground_truth.json", '{"pairs": 3}', "ground_truth.json: "),
+        (ds.load_venue_config, "venue.json", "[]", "venue.json: "),
+    ],
+    ids=[
+        "relation-no-pairs", "relation-list", "relation-row-key", "edits-column",
+        "edits-short-row", "assignment-column", "filter-report-key", "analysis-key",
+        "fit-key", "triples-column", "permutation-list", "ground-truth-pairs", "venue-list",
+    ],
+)
+def test_wrong_shape_is_parse_error_naming_the_file(load, name, content, message, tmp_path):
+    path = tmp_path / name
+    path.write_text(content)
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value).startswith(message)
+

@@ -1,10 +1,15 @@
 """Exactness, tie handling, monotonicity, and constraint checks for the solver."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import revaudit
 from revaudit.assignment import (
     SCALE,
     Assignment,
@@ -24,18 +29,16 @@ from revaudit.errors import InfeasibleAssignmentError, ValidationError
 from conftest import build_dataset, review, reviewer, submission
 
 
-def brute_force_best_objective(sim: SimilarityMatrix, relation, spec: AssignmentSpec):
-    """Exhaustive enumeration over all feasible assignments (integer objective)."""
+def feasible_assignments(sim: SimilarityMatrix, spec: AssignmentSpec):
+    """Every pair set with the exact paper load, within the caps, on allowed pairs."""
     papers = sim.papers()
     reviewers = sim.reviewers()
     allowed = set(sim.allowed_pairs())
-    lam_scaled = round(spec.citation_weight * SCALE)
     per_paper = [
         [c for c in combinations(reviewers, spec.paper_load)
          if all((p, r) in allowed for r in c)]
         for p in papers
     ]
-    best = None
     for combo in product(*per_paper):
         loads = {}
         feasible = True
@@ -44,21 +47,37 @@ def brute_force_best_objective(sim: SimilarityMatrix, relation, spec: Assignment
                 loads[r] = loads.get(r, 0) + 1
                 if loads[r] > spec.reviewer_cap:
                     feasible = False
-        if not feasible:
-            continue
-        pairs = {(p, r) for p, chosen in zip(papers, combo) for r in chosen}
-        quality = sum(round(sim.sim[pair] * SCALE) for pair in pairs)
-        cited = sum(1 for pair in pairs if relation is not None and relation.indicator(pair))
-        objective = quality + lam_scaled * cited
-        if best is None or objective > best:
-            best = objective
-    return best
+        if feasible:
+            yield {(p, r) for p, chosen in zip(papers, combo) for r in chosen}
+
+
+def brute_force_best_objective(sim: SimilarityMatrix, relation, spec: AssignmentSpec):
+    """Exhaustive enumeration over all feasible assignments (integer objective)."""
+    return max(
+        (pairs_objective(pairs, sim, relation, spec) for pairs in feasible_assignments(sim, spec)),
+        default=None,
+    )
+
+
+def brute_force_best_and_rank_sum(sim: SimilarityMatrix, relation, spec: AssignmentSpec):
+    """(maximum objective, least rank sum among the maximizers), by enumeration."""
+    rank = {pair: i for i, pair in enumerate(sim.allowed_pairs())}
+    scored = [
+        (pairs_objective(pairs, sim, relation, spec), sum(rank[pair] for pair in pairs))
+        for pairs in feasible_assignments(sim, spec)
+    ]
+    best = max(objective for objective, _ in scored)
+    return best, min(rank_sum for objective, rank_sum in scored if objective == best)
+
+
+def pairs_objective(pairs, sim, relation, spec) -> int:
+    quality = sum(round(sim.sim[pair] * SCALE) for pair in pairs)
+    cited = sum(1 for pair in pairs if relation is not None and relation.indicator(pair))
+    return quality + round(spec.citation_weight * SCALE) * cited
 
 
 def objective_of(assignment: Assignment, sim, relation, spec) -> int:
-    quality = sum(round(sim.sim[pair] * SCALE) for pair in assignment.pairs)
-    cited = sum(1 for pair in assignment.pairs if relation is not None and relation.indicator(pair))
-    return quality + round(spec.citation_weight * SCALE) * cited
+    return pairs_objective(assignment.pairs, sim, relation, spec)
 
 
 TWO_BY_TWO = SimilarityMatrix(
@@ -133,6 +152,66 @@ def test_determinism():
         instance = random_instance(rng)
     sim, relation, spec = instance
     assert solve(sim, relation, spec) == solve(sim, relation, spec)
+
+
+def test_ties_break_to_the_least_rank_sum():
+    # Similarities on a 0.1 grid make many assignments tie on the objective;
+    # among them solve must pick one with the least sum of pair ranks.
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 40:
+        instance = random_instance(rng)
+        if instance is None:
+            continue
+        sim, relation, spec = instance
+        sim = SimilarityMatrix(sim={pair: round(v, 1) for pair, v in sim.sim.items()})
+        result = solve(sim, relation, spec)
+        rank = {pair: i for i, pair in enumerate(sim.allowed_pairs())}
+        got = (objective_of(result, sim, relation, spec), sum(rank[p] for p in result.pairs))
+        assert got == brute_force_best_and_rank_sum(sim, relation, spec), checked
+        checked += 1
+
+
+def test_networkx_min_cost_flow_agrees():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(404)
+    papers = [f"p{i:02d}" for i in range(30)]
+    reviewers = [f"r{j:02d}" for j in range(20)]
+    for _ in range(10):
+        sim = SimilarityMatrix(
+            sim={(p, r): float(np.round(rng.random(), 6)) for p in papers for r in reviewers},
+            forbidden=frozenset(
+                (p, r) for p in papers for r in reviewers if rng.random() < 0.15
+            ),
+        )
+        relation = CitationRelation(
+            cited={(p, r): bool(rng.random() < 0.1) for p in papers for r in reviewers}
+        )
+        for weight in (0.0, 0.25, 1.0, 3.0):
+            spec = AssignmentSpec(paper_load=3, reviewer_cap=6, citation_weight=weight)
+            graph = nx.DiGraph()
+            graph.add_node("src", demand=-3 * len(papers))
+            graph.add_node("snk", demand=3 * len(papers))
+            for p in papers:
+                graph.add_edge("src", ("p", p), weight=0, capacity=3)
+            for r in reviewers:
+                graph.add_edge(("r", r), "snk", weight=0, capacity=6)
+            for pair in sim.allowed_pairs():
+                utility = pairs_objective({pair}, sim, relation, spec)
+                graph.add_edge(("p", pair[0]), ("r", pair[1]), weight=-utility, capacity=1)
+            flow_cost = nx.cost_of_flow(graph, nx.min_cost_flow(graph))
+            result = solve(sim, relation, spec)
+            assert objective_of(result, sim, relation, spec) == -flow_cost
+
+
+def test_cli_import_leaves_out_networkx():
+    code = "import sys, revaudit.cli; print('networkx' in sys.modules)"
+    src = str(Path(revaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_sweep_monotonicity_on_random_instance():
@@ -212,6 +291,19 @@ def test_infeasible_paper_names_the_constraint():
     )
     with pytest.raises(InfeasibleAssignmentError, match="p1"):
         solve(sim, None, AssignmentSpec(2, 1, 0.0))
+
+
+def test_infeasible_when_halls_condition_fails():
+    # The counts pass (each paper has an allowed reviewer, three reviewers
+    # for three papers) but p1 and p2 both need r1, whose cap is one.
+    sim = SimilarityMatrix(
+        sim={("p1", "r1"): 0.5, ("p2", "r1"): 0.5, ("p3", "r2"): 0.5, ("p3", "r3"): 0.5},
+        forbidden=frozenset(
+            {("p1", "r2"), ("p1", "r3"), ("p2", "r2"), ("p2", "r3"), ("p3", "r1")}
+        ),
+    )
+    with pytest.raises(InfeasibleAssignmentError, match="unsatisfiable"):
+        solve(sim, None, AssignmentSpec(1, 1, 0.0))
 
 
 def test_infeasible_capacity_names_the_bound():

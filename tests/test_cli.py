@@ -237,3 +237,40 @@ def test_malformed_artifact_is_parse_error(simulated, capsys, artifact, stages, 
     error = json.loads(err)["error"]
     assert error["type"] == "ParseError"
     assert error["message"].startswith(where)
+
+
+@pytest.mark.parametrize(
+    "content, stages, command, error_type, names",
+    [
+        ("{}", [("extract-citations",)], ("filter",), "ParseError", "relation.json: missing key 'pairs'"),
+        (
+            '{"n_submission": 10}',
+            [],
+            ("simulate", "--policy", "EC_LIKE", "--seed", "3", "--config", "gen.json"),
+            "ValidationError",
+            "'n_submission'",
+        ),
+        (
+            "[1]",
+            [],
+            ("simulate", "--policy", "EC_LIKE", "--seed", "3", "--config", "gen.json"),
+            "ParseError",
+            "gen.json: ",
+        ),
+    ],
+    ids=["relation-object", "config-unknown-key", "config-list"],
+)
+def test_wrong_shape_artifact_is_a_json_error(
+    simulated, capsys, content, stages, command, error_type, names
+):
+    wd = str(simulated)
+    for stage in stages:
+        assert run(capsys, *stage, "--workdir", wd)[0] == 0
+    artifact = "gen.json" if "--config" in command else "relation.json"
+    (simulated / artifact).write_text(content)
+    command = [str(simulated / arg) if arg == artifact else arg for arg in command]
+    code, _, err = run(capsys, *command, "--workdir", wd)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == error_type
+    assert names in error["message"]

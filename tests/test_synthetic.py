@@ -185,3 +185,12 @@ def test_corpus_ground_truth_consistency():
 def test_et_al_only_render_yields_no_authors():
     text = render_entry([], 4, "Latent methods", "Some Venue", 2012, etal=True)
     assert parse_reference_entry(text) == []
+
+
+def test_unknown_generator_parameter_is_named():
+    with pytest.raises(ValidationError, match="'n_submission'"):
+        GeneratorConfig.from_dict({"policy": "EC_LIKE", "n_submission": 10})
+    with pytest.raises(ValidationError, match="'venue'"):
+        GeneratorConfig.from_dict({"venue": {}})
+    with pytest.raises(ValidationError, match="bad generator parameters"):
+        GeneratorConfig.from_dict({"n_submissions": "ten"})
