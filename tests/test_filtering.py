@@ -1,11 +1,19 @@
 """Eligibility, missing-value policy, exclusion handling, and missingness counts."""
 
+import warnings
+from pathlib import Path
+
 import pytest
 
 from conftest import build_dataset, relation_for, review, reviewer, submission
 from revaudit.dataset import VenueConfig, VenuePolicy
 from revaudit.errors import NoAnalyzableDataError
-from revaudit.filtering import MissingnessReport, filter_dataset, missingness_report
+from revaudit.filtering import (
+    MissingnessReport,
+    filter_dataset,
+    missingness_report,
+    save_analysis_dataset,
+)
 from revaudit.synthetic import GeneratorConfig, generate
 
 
@@ -212,3 +220,70 @@ def test_missingness_report_rendering_shape():
     assert "578" in text
     assert "439" in text
     assert "159" in text
+
+
+# --- pinned analysis artifact ----------------------------------------------
+
+PINNED = Path(__file__).parent / "data"
+
+
+def pinned_ec_venue():
+    reviewers = [
+        reviewer("r1"), reviewer("r2", seniority=1), reviewer("r3"), reviewer("r4", seniority=1)
+    ]
+    subs = [submission(f"s{i}") for i in (1, 2, 3, 4, 5)]
+    reviews = [
+        # r1: tied 50s, a 30, a 10 and a stored zero; r2: a negative and a positive;
+        # r3: one positive preference; r4: absent preferences only
+        review("s1", "r1", 4, sr_expertise=3, preference_value=50),
+        review("s1", "r2", 2, sr_expertise=1, preference_value=-5),
+        review("s1", "r3", 5, sr_expertise=4, preference_value=70),
+        review("s2", "r1", 3, sr_expertise=2, preference_value=50),
+        review("s2", "r2", 4, sr_expertise=2, preference_value=30),
+        review("s2", "r4", 1, sr_expertise=1),
+        review("s3", "r1", 5, sr_expertise=4, preference_value=10),
+        review("s3", "r4", 2, sr_expertise=3),
+        review("s4", "r1", 3, sr_expertise=2, preference_value=0,
+               missing_citation_flag=True, exclusion_adjudicated=True),
+        review("s4", "r4", 4, sr_expertise=3),
+        review("s5", "r1", 2, sr_expertise=1, preference_value=30),
+        review("s5", "r3", 3, sr_expertise=2),
+    ]
+    dataset = build_dataset(VenueConfig.ec_like(), reviewers, subs, reviews)
+    cited = {("s1", "r1"), ("s2", "r2"), ("s3", "r4"), ("s4", "r4"), ("s5", "r3")}
+    return dataset, relation_for(dataset, cited)
+
+
+def pinned_icml_venue():
+    reviewers = [
+        reviewer("r1", seniority=1), reviewer("r2"),
+        reviewer("r3", has_text_profile=False), reviewer("r4", seniority=1),
+    ]
+    subs = [submission(f"s{i}") for i in (1, 2, 3, 4)]
+    reviews = [
+        review("s1", "r1", 5, sr_expertise=4, sr_confidence=3, text_overlap=0.0, bid=5),
+        review("s1", "r2", 3, sr_expertise=2, sr_confidence=2, text_overlap=1.0, bid=3),
+        review("s1", "r3", 4, sr_expertise=3, sr_confidence=4, bid=4),
+        review("s2", "r2", 2, sr_expertise=1, text_overlap=0.25, bid=4),
+        review("s2", "r4", 6, sr_expertise=4, sr_confidence=4, text_overlap=0.75, bid=5),
+        review("s2", "r1", 4, sr_expertise=3, sr_confidence=1, text_overlap=0.125, bid=2),
+        review("s3", "r1", 3, sr_expertise=2, sr_confidence=2, text_overlap=0.5),
+        review("s3", "r4", 4, sr_expertise=3, sr_confidence=3, text_overlap=0.5, bid=3),
+        review("s4", "r2", 1, sr_expertise=1, sr_confidence=1, text_overlap=0.3, bid=3,
+               missing_citation_flag=True, exclusion_adjudicated=True),
+        review("s4", "r4", 2, sr_expertise=2, sr_confidence=2, text_overlap=0.6, bid=4),
+    ]
+    dataset = build_dataset(VenueConfig.icml_like(), reviewers, subs, reviews)
+    cited = {("s1", "r1"), ("s2", "r4"), ("s3", "r1"), ("s4", "r2")}
+    return dataset, relation_for(dataset, cited)
+
+
+@pytest.mark.parametrize("name, venue", [("ec", pinned_ec_venue), ("icml", pinned_icml_venue)])
+def test_analysis_jsonl_bytes_are_pinned(tmp_path, name, venue):
+    dataset, relation = venue()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # r2's negative preference
+        analysis, _ = filter_dataset(dataset, relation)
+    out = tmp_path / "analysis.jsonl"
+    save_analysis_dataset(analysis, out)
+    assert out.read_bytes() == (PINNED / f"analysis_{name}.jsonl").read_bytes()
