@@ -24,14 +24,12 @@ from .citations import (
     parse_reference_entry,
 )
 from .dataset import (
-    DerivedCovariates,
     Reviewer,
     ReviewDataset,
     ReviewRecord,
     Submission,
     VenueConfig,
     VenuePolicy,
-    derive_covariates,
     load_dataset,
     save_dataset,
     summarize,
@@ -77,7 +75,6 @@ __all__ = [
     "AssignmentSpec",
     "BiasReport",
     "CitationRelation",
-    "DerivedCovariates",
     "FilterReport",
     "FitResult",
     "GeneratorConfig",
@@ -109,7 +106,6 @@ __all__ = [
     "build_parametric_report",
     "build_rows",
     "citation_coverage",
-    "derive_covariates",
     "detect_citations",
     "diagnostics",
     "exact_permutation_p",

@@ -2,7 +2,7 @@
 
 The objective sum(sim) + lambda * sum(cited) is scaled to integer utilities
 (x 1e6, round-half-even) and solved as a sparse LP with HiGHS, in two stages:
-maximize utility, then keep that utility and minimize the sum of pair ranks.
+maximize utility, then minimize the sum of pair ranks over the maximizers.
 The reviewer-paper polytope is totally unimodular, so both vertices are
 integral; each is checked to be, and the utility of the chosen pairs is
 recomputed in integers, so optimality never hinges on float comparisons.  Any
@@ -12,6 +12,7 @@ Reported quality is the similarity sum at that integer resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -62,8 +63,10 @@ class AssignmentSpec:
     def __post_init__(self):
         if self.paper_load < 1 or self.reviewer_cap < 1:
             raise ValidationError("paper_load and reviewer_cap must be positive")
-        if self.citation_weight < 0:
-            raise ValidationError("the citation weight must be non-negative")
+        if not math.isfinite(self.citation_weight) or self.citation_weight < 0:
+            raise ValidationError(
+                f"the citation weight must be finite and non-negative, got {self.citation_weight}"
+            )
 
 
 @dataclass(frozen=True)
@@ -150,17 +153,25 @@ def solve(
     load = np.full(len(papers), float(spec.paper_load))
     cap = np.full(len(reviewers), float(spec.reviewer_cap))
 
-    # Stage 1 finds the best utility U*; stage 2 minimizes the rank sum over
-    # the face utility = U*.  The polytope is totally unimodular and a face's
-    # vertices are vertices of the polytope, so both optima must be integral.
-    best = _integral_vertex(-utility, by_reviewer, cap, by_paper, load)
+    # Stage 1 finds the best utility U*.  Stage 2 minimizes the rank sum over
+    # stage 1's optimal face, cut out by complementary slackness rather than a
+    # utility >= U* row (HiGHS cannot hold such a row to one unit once lambda
+    # is large).  Costs are integers and the matrix is totally unimodular, so
+    # basic duals are integers and a marginal above 0.5 is nonzero: such a
+    # pair keeps its stage-1 value, such a reviewer row stays at its cap.
+    # Face vertices are polytope vertices, so both optima must be integral.
+    first, best = _integral_vertex(-utility, by_reviewer, cap, by_paper, load, (0, 1))
     best_utility = int(utility[best].sum())
-    chosen = _integral_vertex(
+    fixed = (np.abs(first.lower.marginals) > 0.5) | (np.abs(first.upper.marginals) > 0.5)
+    bounds = np.column_stack([fixed & best, best | ~fixed]).astype(float)
+    tight = np.abs(first.ineqlin.marginals) > 0.5
+    _, chosen = _integral_vertex(
         columns.astype(float),
-        sparse.vstack([by_reviewer, -sparse.csr_array(utility.astype(float)[None, :])]),
-        np.append(cap, -float(best_utility)),
-        by_paper,
-        load,
+        by_reviewer[~tight],
+        cap[~tight],
+        sparse.vstack([by_paper, by_reviewer[tight]]),
+        np.append(load, cap[tight]),
+        bounds,
     )
     if int(utility[chosen].sum()) != best_utility:
         raise SolverError(
@@ -170,12 +181,12 @@ def solve(
     return _as_assignment({allowed[i] for i in np.flatnonzero(chosen)}, sim, relation, spec)
 
 
-def _integral_vertex(cost, a_ub, b_ub, a_eq, b_eq) -> np.ndarray:
-    """Boolean selection of an optimal HiGHS vertex, which must be integral."""
+def _integral_vertex(cost, a_ub, b_ub, a_eq, b_eq, bounds):
+    """An optimal HiGHS vertex, which must be integral, and its boolean selection."""
     # Presolve finds nothing to remove from a transportation LP and costs
     # about as much as the simplex solve itself.
     result = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1),
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
         method="highs", options={"presolve": False},
     )
     if result.status == 2:
@@ -187,7 +198,7 @@ def _integral_vertex(cost, a_ub, b_ub, a_eq, b_eq) -> np.ndarray:
     rounded = np.round(result.x)
     if np.max(np.abs(result.x - rounded)) > INTEGRALITY_TOLERANCE:
         raise SolverError("HiGHS returned a fractional vertex")
-    return rounded == 1
+    return result, rounded == 1
 
 
 def _as_assignment(
@@ -237,14 +248,13 @@ def tradeoff_sweep(
     lambdas: list[float],
 ) -> list[SweepPoint]:
     """One exact solve per lambda; cited_count rises and quality falls along the sweep."""
+    specs = [replace(spec, citation_weight=weight) for weight in lambdas]
     points = []
-    for weight in lambdas:
-        if weight < 0:
-            raise ValidationError(f"the citation weight must be non-negative, got {weight}")
-        result = solve(sim, relation, replace(spec, citation_weight=weight))
+    for point_spec in specs:
+        result = solve(sim, relation, point_spec)
         points.append(
             SweepPoint(
-                citation_weight=weight,
+                citation_weight=point_spec.citation_weight,
                 objective_quality=result.objective_quality,
                 cited_count=result.cited_count,
             )

@@ -33,7 +33,7 @@ from .dataset import (
     save_dataset,
     summarize,
 )
-from .errors import MissingArtifactError, RevauditError
+from .errors import MissingArtifactError, RevauditError, ValidationError
 
 RELATION_FILE = "relation.json"
 ASSIGNMENT_FILE = "assignment.csv"
@@ -230,6 +230,10 @@ def assign(workdir, venue_config, similarity_path, citation_weight, paper_load,
     spec = asg.AssignmentSpec(
         paper_load=paper_load, reviewer_cap=reviewer_cap, citation_weight=citation_weight
     )
+    try:
+        lambdas = [float(x) for x in (sweep or "").split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--sweep takes comma-separated numbers, got {sweep!r}") from exc
     result = asg.solve(sim, relation, spec)
     if edits_path:
         result = asg.apply_edits(result, asg.load_edits(edits_path), sim, relation, spec)
@@ -240,7 +244,6 @@ def assign(workdir, venue_config, similarity_path, citation_weight, paper_load,
     )
 
     if sweep:
-        lambdas = [float(x) for x in sweep.split(",") if x.strip()]
         points = asg.tradeoff_sweep(sim, relation, spec, lambdas)
         with (wd / SWEEP_FILE).open("w", encoding="utf-8", newline="") as fh:
             fh.write("lambda,objective_quality,cited_count\n")

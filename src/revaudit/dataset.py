@@ -15,6 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .artifacts import parsing, read_json, read_jsonl, write_json, write_jsonl
 from .errors import ParseError, ReferentialError, ValidationError
 
@@ -143,19 +145,6 @@ class ReviewRecord:
 
 
 @dataclass(frozen=True)
-class DerivedCovariates:
-    """Per-pair regression inputs; ``covariate_vector`` follows model order."""
-
-    pref_perc: float | None
-    missing_pref: int | None
-    covariate_vector: tuple[tuple[str, float | None], ...]
-
-    @property
-    def droppable(self) -> bool:
-        return any(v is None for _, v in self.covariate_vector)
-
-
-@dataclass(frozen=True)
 class ReviewDataset:
     """Immutable container for one venue's reviewers, submissions, and reviews."""
 
@@ -163,7 +152,6 @@ class ReviewDataset:
     reviewers: dict[str, Reviewer]
     submissions: dict[str, Submission]
     reviews: tuple[ReviewRecord, ...]
-    derived: dict[Pair, DerivedCovariates] | None = None
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -411,83 +399,74 @@ def ec_preference_missing(value: int | None) -> bool:
     return value is None or value == 0
 
 
-def derive_covariates(dataset: ReviewDataset) -> ReviewDataset:
-    """Attach per-pair covariates following the venue policy.
+def preference_percentiles(
+    reviewer_codes: np.ndarray, preferences: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """EC-like ``(pref_perc, missing_pref)`` per review.
 
-    EC-like: raw preferences become within-reviewer percentiles over that
-    reviewer's positive preferences (0 = top choice, 100 = bottom; a single
-    positive preference maps to 0), with missing preferences encoded as
-    (pref_perc=0, missing_pref=1).  ICML-like: the covariate vector carries
-    the raw variables and pairs missing any of them are marked droppable.
-
-    Idempotent: re-deriving replaces the attached covariates with identical
-    values.
+    ``preferences`` holds 0 where a preference is missing (see
+    :func:`ec_preference_missing`), which encodes as (0, 1).  A positive
+    preference becomes its within-reviewer percentile over that reviewer's
+    positive preferences, ``100 * #{greater} / (n - 1)`` (0 = top choice,
+    100 = bottom; a single positive preference maps to 0).  A negative one
+    ranks bottom, (100, 0).
     """
-    derived = {
-        pair: DerivedCovariates(pref_perc, missing, vector)
-        for pair, (pref_perc, missing, vector) in covariate_values(dataset).items()
-    }
-    return replace(dataset, derived=derived)
+    codes = np.asarray(reviewer_codes)
+    prefs = np.asarray(preferences)
+    pref_perc = np.where(prefs < 0, 100.0, 0.0)
+    missing_pref = (prefs == 0).astype(float)
+
+    # One sortable key per positive preference, reviewer-major with the dense
+    # rank of the value below it; a reviewer's block of keys is then
+    # [code * m, (code + 1) * m), and the entries greater than a key follow it.
+    positive = prefs > 0
+    code = codes[positive]
+    _, rank = np.unique(prefs[positive], return_inverse=True)
+    m = len(rank)
+    key = code * m + rank
+    keys = np.sort(key)
+    start = np.searchsorted(keys, code * m)
+    end = np.searchsorted(keys, (code + 1) * m)
+    greater = end - np.searchsorted(keys, key, side="right")
+    pref_perc[positive] = 100.0 * greater / np.maximum(end - start - 1, 1)
+    return pref_perc, missing_pref
 
 
-def covariate_values(
-    dataset: ReviewDataset,
-) -> dict[Pair, tuple[float | None, int | None, tuple[tuple[str, float | None], ...]]]:
-    """``(pref_perc, missing_pref, covariate_vector)`` per pair, as in
-    :func:`derive_covariates`.
+def covariate_matrix(dataset: ReviewDataset) -> np.ndarray:
+    """Covariates following the venue policy: one row per entry of
+    ``dataset.reviews``, columns in :func:`policy_covariates` order.
 
-    Plain tuples, not one :class:`DerivedCovariates` per pair: the bulk
-    callers (``filter_dataset``, ``generate``) only read the values, and
-    thousands of dataclass instances cost construction time and
-    garbage-collector work.
+    EC-like: ``pref_perc`` and ``missing_pref`` from
+    :func:`preference_percentiles`; a negative preference warns, since the
+    pair was assigned although the reviewer declined it.  ICML-like: the raw
+    variables, NaN where a value is missing; such pairs leave the analysis.
     """
+    reviews = dataset.reviews
     policy = dataset.config.venue_policy
-    derived: dict[Pair, tuple] = {}
-
+    columns = {
+        "sr_expertise": [r.sr_expertise for r in reviews],
+        "seniority": [dataset.reviewers[r.reviewer_id].seniority for r in reviews],
+    }
     if policy == VenuePolicy.EC_LIKE:
-        by_reviewer: dict[str, list[int]] = {}
-        for record in dataset.reviews:
-            if record.preference_value is not None and record.preference_value > 0:
-                by_reviewer.setdefault(record.reviewer_id, []).append(record.preference_value)
-        for record in dataset.reviews:
-            seniority = dataset.reviewers[record.reviewer_id].seniority
-            pref = record.preference_value
-            if ec_preference_missing(pref):
-                pref_perc, missing = 0.0, 1
-            elif pref < 0:
-                warnings.warn(
-                    f"{record._tag()}: assigned despite negative preference {pref}",
-                    UserWarning,
-                    stacklevel=2,
-                )
-                pref_perc, missing = 100.0, 0
-            else:
-                pool = by_reviewer[record.reviewer_id]
-                greater = sum(1 for v in pool if v > pref)
-                pref_perc = 0.0 if len(pool) == 1 else 100.0 * greater / (len(pool) - 1)
-                missing = 0
-            vector = (
-                ("sr_expertise", float(record.sr_expertise)),
-                ("pref_perc", pref_perc),
-                ("missing_pref", float(missing)),
-                ("seniority", float(seniority)),
+        prefs = np.array([r.preference_value or 0 for r in reviews])
+        for i in np.flatnonzero(prefs < 0):
+            record = reviews[i]
+            warnings.warn(
+                f"{record._tag()}: assigned despite negative preference "
+                f"{record.preference_value}",
+                UserWarning,
+                stacklevel=2,
             )
-            derived[record.pair] = (pref_perc, missing, vector)
+        code = {rid: i for i, rid in enumerate(dataset.reviewers)}
+        columns["pref_perc"], columns["missing_pref"] = preference_percentiles(
+            np.array([code[r.reviewer_id] for r in reviews], dtype=int), prefs
+        )
     else:
-        for record in dataset.reviews:
-            seniority = dataset.reviewers[record.reviewer_id].seniority
-            vector = (
-                ("sr_expertise", float(record.sr_expertise)),
-                (
-                    "sr_confidence",
-                    None if record.sr_confidence is None else float(record.sr_confidence),
-                ),
-                ("text_overlap", record.text_overlap),
-                ("bid", None if record.bid is None else float(record.bid)),
-                ("seniority", float(seniority)),
-            )
-            derived[record.pair] = (None, None, vector)
-    return derived
+        for name in ICML_OPTIONAL_FIELDS:
+            columns[name] = [getattr(r, name) for r in reviews]
+    return np.column_stack(
+        [np.array(columns[name], dtype=float) for name in policy_covariates(policy)]
+    )
 
 
 def summarize(dataset: ReviewDataset, relation: "CitationRelation") -> SummaryTable:

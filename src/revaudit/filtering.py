@@ -9,8 +9,9 @@ whole submissions with an adjudicated missing-citation complaint.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from .artifacts import parsing, read_json, read_jsonl, write_csv, write_json, write_jsonl
 from .citations import CitationRelation
@@ -18,11 +19,11 @@ from .dataset import (
     ICML_OPTIONAL_FIELDS,
     Pair,
     ReviewDataset,
-    ReviewRecord,
     VenueConfig,
     VenuePolicy,
-    covariate_values,
+    covariate_matrix,
     ec_preference_missing,
+    policy_covariates,
 )
 from .errors import NoAnalyzableDataError, ValidationError
 
@@ -73,21 +74,28 @@ class FilterReport:
         return asdict(self)
 
 
-def _both_strata(records: list[ReviewRecord], relation: CitationRelation) -> bool:
+def _both_strata(positions: list[int], cited: list[bool]) -> bool:
     """At least one cited and one uncited review (hence at least two reviews)."""
-    cited = sum(1 for r in records if relation.indicator(r.pair))
-    return 0 < cited < len(records)
+    n_cited = sum(1 for i in positions if cited[i])
+    return 0 < n_cited < len(positions)
 
 
-def _eligible(dataset: ReviewDataset, relation: CitationRelation) -> dict[str, list[ReviewRecord]]:
-    """Reviews of each active submission that has both strata, keyed by id."""
-    by_submission = dataset.reviews_by_submission()
+def _eligible(dataset: ReviewDataset, cited: list[bool]) -> dict[str, list[int]]:
+    """Positions in ``dataset.reviews`` of the reviews of each active
+    submission that has both strata, keyed by submission id."""
+    by_submission: dict[str, list[int]] = {}
+    for i, record in enumerate(dataset.reviews):
+        by_submission.setdefault(record.submission_id, []).append(i)
     eligible = {}
     for submission in dataset.active_submissions():
-        records = by_submission.get(submission.id, [])
-        if _both_strata(records, relation):
-            eligible[submission.id] = records
+        positions = by_submission.get(submission.id, [])
+        if _both_strata(positions, cited):
+            eligible[submission.id] = positions
     return eligible
+
+
+def _cited(dataset: ReviewDataset, relation: CitationRelation) -> list[bool]:
+    return [relation.indicator(record.pair) for record in dataset.reviews]
 
 
 def filter_dataset(
@@ -104,24 +112,27 @@ def filter_dataset(
     pair scores (e.g. to a generator's latent channel) without touching the
     stored dataset.
     """
-    if dataset.derived is None:
-        vectors = {pair: values[2] for pair, values in covariate_values(dataset).items()}
-    else:
-        vectors = {pair: derived.covariate_vector for pair, derived in dataset.derived.items()}
-    eligible = _eligible(dataset, relation)
+    reviews = dataset.reviews
+    matrix = covariate_matrix(dataset)
+    complete = (~np.isnan(matrix).any(axis=1)).tolist()
+    rows = matrix.tolist()
+    cited = _cited(dataset, relation)
+    eligible = _eligible(dataset, cited)
     # Exclusion looks at every review, including those the missing-value
     # policy drops below, so collect adjudicated submissions first.
     adjudicated = {
-        sid for sid, records in eligible.items() if any(r.exclusion_adjudicated for r in records)
+        sid
+        for sid, positions in eligible.items()
+        if any(reviews[i].exclusion_adjudicated for i in positions)
     }
 
     dropped_missing = 0
     if dataset.config.venue_policy == VenuePolicy.ICML_LIKE:
-        recheck: dict[str, list[ReviewRecord]] = {}
-        for sid, records in eligible.items():
-            kept = [r for r in records if all(v is not None for _, v in vectors[r.pair])]
-            dropped_missing += len(records) - len(kept)
-            if _both_strata(kept, relation):
+        recheck: dict[str, list[int]] = {}
+        for sid, positions in eligible.items():
+            kept = [i for i in positions if complete[i]]
+            dropped_missing += len(positions) - len(kept)
+            if _both_strata(kept, cited):
                 recheck[sid] = kept
         eligible = recheck
 
@@ -134,26 +145,26 @@ def filter_dataset(
             "no analyzable data: no submission retains both cited and uncited reviews"
         )
 
-    by_pair = attrgetter("submission_id", "reviewer_id")
+    names = policy_covariates(dataset.config.venue_policy)
     out: dict[str, tuple[AnalysisRecord, ...]] = {}
     for sid in sorted(eligible):
-        rows = []
-        for record in sorted(eligible[sid], key=by_pair):
-            pair = record.pair
-            covariates = dict(vectors[pair])
-            if None in covariates.values():
+        records = []
+        for i in sorted(eligible[sid], key=lambda i: reviews[i].reviewer_id):
+            record = reviews[i]
+            pair = (sid, record.reviewer_id)
+            if not complete[i]:
                 raise ValidationError(f"incomplete covariates survived filtering: {pair}")
             score = float(record.score if scores is None else scores[pair])
-            rows.append(
+            records.append(
                 AnalysisRecord(
                     submission_id=sid,
                     reviewer_id=record.reviewer_id,
                     score=score,
-                    cited=relation.indicator(pair),
-                    covariates=covariates,
+                    cited=cited[i],
+                    covariates=dict(zip(names, rows[i])),
                 )
             )
-        out[sid] = tuple(rows)
+        out[sid] = tuple(records)
 
     report = FilterReport(
         eligible_submissions=len(out),
@@ -187,7 +198,11 @@ def missingness_report(dataset: ReviewDataset, relation: CitationRelation) -> Mi
     """Per-variable missing counts among pairs that qualify for analysis
     (both strata present, before any filtering)."""
     policy = dataset.config.venue_policy
-    qualifying = [r for records in _eligible(dataset, relation).values() for r in records]
+    qualifying = [
+        dataset.reviews[i]
+        for positions in _eligible(dataset, _cited(dataset, relation)).values()
+        for i in positions
+    ]
 
     if policy == VenuePolicy.ICML_LIKE:
         variables = ICML_OPTIONAL_FIELDS

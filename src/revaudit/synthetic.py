@@ -37,7 +37,7 @@ from .dataset import (
     Submission,
     VenueConfig,
     VenuePolicy,
-    covariate_values,
+    preference_percentiles,
 )
 from .errors import InfeasibleAssignmentError, ValidationError
 
@@ -431,7 +431,7 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
 
     # The linear predictor uses exactly the covariates the analysis will see:
     # EC missing preferences enter through the (pref_perc=0, missing_pref=1)
-    # encoding, so re-deriving on the emitted dataset reproduces the model.
+    # encoding, so covariate_matrix on the emitted dataset reproduces the model.
     coeffs = config.covariate_coeffs
     sen_pair = seniority[assign]
     linear = (
@@ -449,19 +449,14 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
             + coeffs["bid"] * bids
         )
     else:
-        placeholder = config.venue.score_min
-        temp = ReviewDataset(
-            config=config.venue,
-            reviewers=reviewers,
-            submissions={sid: Submission(id=sid) for sid in submission_ids},
-            reviews=tuple(ReviewRecord(score=placeholder, **kwargs) for kwargs in fields),
+        pref_perc, missing_pref = preference_percentiles(
+            assign.ravel(), np.where(pref_missing, 0, preference).ravel()
         )
-        derived = covariate_values(temp)
-        pref_perc = np.empty((S, k))
-        missing_pref = np.empty((S, k))
-        for idx, record in enumerate(temp.reviews):
-            pref_perc.flat[idx], missing_pref.flat[idx], _ = derived[record.pair]
-        linear = linear + coeffs["pref_perc"] * pref_perc + coeffs["missing_pref"] * missing_pref
+        linear = (
+            linear
+            + coeffs["pref_perc"] * pref_perc.reshape(S, k)
+            + coeffs["missing_pref"] * missing_pref.reshape(S, k)
+        )
 
     latent = linear + noise
     observed = np.clip(

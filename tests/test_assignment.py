@@ -172,6 +172,22 @@ def test_ties_break_to_the_least_rank_sum():
         checked += 1
 
 
+def min_cost_flow_objective(nx, sim, relation, spec) -> int:
+    """The optimal integer objective by networkx's min-cost flow, as an oracle."""
+    papers, reviewers = sim.papers(), sim.reviewers()
+    graph = nx.DiGraph()
+    graph.add_node("src", demand=-spec.paper_load * len(papers))
+    graph.add_node("snk", demand=spec.paper_load * len(papers))
+    for p in papers:
+        graph.add_edge("src", ("p", p), weight=0, capacity=spec.paper_load)
+    for r in reviewers:
+        graph.add_edge(("r", r), "snk", weight=0, capacity=spec.reviewer_cap)
+    for pair in sim.allowed_pairs():
+        utility = pairs_objective({pair}, sim, relation, spec)
+        graph.add_edge(("p", pair[0]), ("r", pair[1]), weight=-utility, capacity=1)
+    return -nx.cost_of_flow(graph, nx.min_cost_flow(graph))
+
+
 def test_networkx_min_cost_flow_agrees():
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(404)
@@ -189,19 +205,33 @@ def test_networkx_min_cost_flow_agrees():
         )
         for weight in (0.0, 0.25, 1.0, 3.0):
             spec = AssignmentSpec(paper_load=3, reviewer_cap=6, citation_weight=weight)
-            graph = nx.DiGraph()
-            graph.add_node("src", demand=-3 * len(papers))
-            graph.add_node("snk", demand=3 * len(papers))
-            for p in papers:
-                graph.add_edge("src", ("p", p), weight=0, capacity=3)
-            for r in reviewers:
-                graph.add_edge(("r", r), "snk", weight=0, capacity=6)
-            for pair in sim.allowed_pairs():
-                utility = pairs_objective({pair}, sim, relation, spec)
-                graph.add_edge(("p", pair[0]), ("r", pair[1]), weight=-utility, capacity=1)
-            flow_cost = nx.cost_of_flow(graph, nx.min_cost_flow(graph))
             result = solve(sim, relation, spec)
-            assert objective_of(result, sim, relation, spec) == -flow_cost
+            assert objective_of(result, sim, relation, spec) == min_cost_flow_objective(
+                nx, sim, relation, spec
+            )
+
+
+@pytest.mark.parametrize("weight", [1e6, 1e8])
+def test_huge_lambda_reaches_the_min_cost_flow_optimum(weight):
+    # Utilities near 1e14 once lambda is 1e8: a utility >= U* row in the rank
+    # stage needs one-unit precision that HiGHS tolerances cannot give.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(0)
+    papers = [f"p{i:03d}" for i in range(100)]
+    reviewers = [f"r{j:02d}" for j in range(80)]
+    sim = SimilarityMatrix(
+        sim={(p, r): float(np.round(rng.random(), 6)) for p in papers for r in reviewers},
+        forbidden=frozenset((p, r) for p in papers for r in reviewers if rng.random() < 0.05),
+    )
+    relation = CitationRelation(
+        cited={(p, r): bool(rng.random() < 0.1) for p in papers for r in reviewers}
+    )
+    spec = AssignmentSpec(paper_load=3, reviewer_cap=6, citation_weight=weight)
+    result = solve(sim, relation, spec)
+    validate_assignment(set(result.pairs), sim, spec)
+    assert objective_of(result, sim, relation, spec) == min_cost_flow_objective(
+        nx, sim, relation, spec
+    )
 
 
 def test_cli_import_leaves_out_networkx():
@@ -230,6 +260,14 @@ def test_sweep_monotonicity_on_random_instance():
     for a, b in zip(points, points[1:]):
         assert b.cited_count >= a.cited_count
         assert b.objective_quality <= a.objective_quality + 1e-12
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+def test_citation_weight_must_be_finite_and_non_negative(weight):
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        AssignmentSpec(1, 1, weight)
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        tradeoff_sweep(TWO_BY_TWO, TWO_BY_TWO_RELATION, AssignmentSpec(1, 1, 0.0), [0.0, weight])
 
 
 def test_large_lambda_attains_max_cited():

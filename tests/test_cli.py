@@ -1,5 +1,6 @@
 """Pipeline wiring: stage ordering, artifact determinism, and report shape."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -150,7 +151,8 @@ def test_nonparametric_requires_seed(simulated, capsys):
     assert "seed" in json.loads(err)["error"]["message"]
 
 
-def test_assign_cli_with_similarity(tmp_path, capsys):
+@pytest.fixture
+def assign_workdir(tmp_path, capsys):
     config = tmp_path / "gen.json"
     config.write_text(json.dumps({"n_submissions": 12, "n_reviewers": 8}))
     wd = str(tmp_path)
@@ -158,23 +160,42 @@ def test_assign_cli_with_similarity(tmp_path, capsys):
         "--seed", "2", "--config", str(config))
     run(capsys, "extract-citations", "--workdir", wd, "--pairs", "all")
     # similarity over every submission x reviewer pair
-    import itertools
     lines = ["submission_id,reviewer_id,sim"]
     for i, j in itertools.product(range(1, 13), range(1, 9)):
         lines.append(f"s{i:04d},r{j:04d},{((i * 7 + j * 3) % 10) / 10}")
     (tmp_path / "similarity.csv").write_text("\n".join(lines) + "\n")
+    return tmp_path
+
+
+def test_assign_cli_with_similarity(assign_workdir, capsys):
     code, out, err = run(
-        capsys, "assign", "--workdir", wd, "--lambda", "0.5",
+        capsys, "assign", "--workdir", str(assign_workdir), "--lambda", "0.5",
         "--paper-load", "2", "--reviewer-cap", "4",
         "--sweep", "0,0.5,1.0",
     )
     assert code == 0, err
-    assignment = (tmp_path / "assignment.csv").read_text().splitlines()
+    assignment = (assign_workdir / "assignment.csv").read_text().splitlines()
     assert assignment[0] == "submission_id,reviewer_id"
     assert len(assignment) == 1 + 12 * 2
-    sweep = (tmp_path / "sweep.csv").read_text().splitlines()
+    sweep = (assign_workdir / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "lambda,objective_quality,cited_count"
     assert len(sweep) == 4
+
+
+@pytest.mark.parametrize("flags", [
+    ("--lambda", "nan"),
+    ("--lambda", "inf"),
+    ("--lambda", "-1"),
+    ("--sweep", "0,abc"),
+    ("--sweep", "0,nan"),
+])
+def test_assign_rejects_a_bad_lambda_as_json(assign_workdir, capsys, flags):
+    code, _, err = run(
+        capsys, "assign", "--workdir", str(assign_workdir),
+        "--paper-load", "2", "--reviewer-cap", "4", *flags,
+    )
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
 def test_venue_config_flag_overrides_default_location(simulated, capsys):

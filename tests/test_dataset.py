@@ -1,7 +1,10 @@
 """Ingestion, validation, covariate derivation, and summary counts."""
 
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +15,9 @@ from revaudit.dataset import (
     ReviewDataset,
     VenueConfig,
     VenuePolicy,
-    derive_covariates,
+    covariate_matrix,
     load_dataset,
+    policy_covariates,
     save_dataset,
     summarize,
 )
@@ -127,34 +131,63 @@ def ec_dataset(reviews):
     return build_dataset(VenueConfig.ec_like(), reviewers, submissions, reviews)
 
 
+def covariates_by_pair(dataset):
+    names = policy_covariates(dataset.config.venue_policy)
+    return {
+        record.pair: dict(zip(names, row))
+        for record, row in zip(dataset.reviews, covariate_matrix(dataset))
+    }
+
+
+def reference_preference_covariates(dataset):
+    """The scalar per-record EC rule: ``(pref_perc, missing_pref)`` per pair."""
+    by_reviewer = {}
+    for record in dataset.reviews:
+        if record.preference_value is not None and record.preference_value > 0:
+            by_reviewer.setdefault(record.reviewer_id, []).append(record.preference_value)
+    out = {}
+    for record in dataset.reviews:
+        pref = record.preference_value
+        if pref is None or pref == 0:
+            out[record.pair] = (0.0, 1)
+        elif pref < 0:
+            out[record.pair] = (100.0, 0)
+        else:
+            pool = by_reviewer[record.reviewer_id]
+            greater = sum(1 for v in pool if v > pref)
+            perc = 0.0 if len(pool) == 1 else 100.0 * greater / (len(pool) - 1)
+            out[record.pair] = (perc, 0)
+    return out
+
+
 def test_percentiles_over_two_preferences():
     dataset = ec_dataset([
         review("s1", "r1", 3, sr_expertise=2, preference_value=50),
         review("s2", "r1", 3, sr_expertise=2, preference_value=10),
     ])
-    derived = derive_covariates(dataset).derived
-    assert derived[("s1", "r1")].pref_perc == 0.0
-    assert derived[("s2", "r1")].pref_perc == 100.0
+    derived = covariates_by_pair(dataset)
+    assert derived[("s1", "r1")]["pref_perc"] == 0.0
+    assert derived[("s2", "r1")]["pref_perc"] == 100.0
 
 
 def test_single_preference_maps_to_top():
     dataset = ec_dataset([review("s1", "r1", 3, sr_expertise=2, preference_value=42)])
-    derived = derive_covariates(dataset).derived
-    assert derived[("s1", "r1")].pref_perc == 0.0
-    assert derived[("s1", "r1")].missing_pref == 0
+    derived = covariates_by_pair(dataset)
+    assert derived[("s1", "r1")]["pref_perc"] == 0.0
+    assert derived[("s1", "r1")]["missing_pref"] == 0
 
 
 def test_absent_preference_encodes_missingness():
     dataset = ec_dataset([review("s1", "r1", 3, sr_expertise=2)])
-    derived = derive_covariates(dataset).derived
-    assert derived[("s1", "r1")].pref_perc == 0.0
-    assert derived[("s1", "r1")].missing_pref == 1
+    derived = covariates_by_pair(dataset)
+    assert derived[("s1", "r1")]["pref_perc"] == 0.0
+    assert derived[("s1", "r1")]["missing_pref"] == 1
 
 
 def test_stored_zero_preference_counts_as_missing():
     dataset = ec_dataset([review("s1", "r1", 3, sr_expertise=2, preference_value=0)])
-    derived = derive_covariates(dataset).derived
-    assert derived[("s1", "r1")].missing_pref == 1
+    derived = covariates_by_pair(dataset)
+    assert derived[("s1", "r1")]["missing_pref"] == 1
 
 
 def test_negative_preference_warns_and_ranks_bottom():
@@ -162,21 +195,10 @@ def test_negative_preference_warns_and_ranks_bottom():
         review("s1", "r1", 3, sr_expertise=2, preference_value=-5),
         review("s2", "r1", 3, sr_expertise=2, preference_value=30),
     ])
-    with pytest.warns(UserWarning, match="negative preference"):
-        derived = derive_covariates(dataset).derived
-    assert derived[("s1", "r1")].pref_perc == 100.0
-    assert derived[("s1", "r1")].missing_pref == 0
-
-
-def test_derivation_is_idempotent():
-    dataset = ec_dataset([
-        review("s1", "r1", 3, sr_expertise=2, preference_value=50),
-        review("s2", "r1", 4, sr_expertise=3, preference_value=10),
-        review("s1", "r2", 2, sr_expertise=1),
-    ])
-    once = derive_covariates(dataset)
-    twice = derive_covariates(once)
-    assert once.derived == twice.derived
+    with pytest.warns(UserWarning, match=r"\('s1', 'r1'\).*negative preference -5"):
+        derived = covariates_by_pair(dataset)
+    assert derived[("s1", "r1")]["pref_perc"] == 100.0
+    assert derived[("s1", "r1")]["missing_pref"] == 0
 
 
 def test_icml_droppable_marks_missing_covariates():
@@ -191,9 +213,54 @@ def test_icml_droppable_marks_missing_covariates():
             review("s1", "r2", 4, sr_expertise=3, sr_confidence=2, text_overlap=0.4, bid=3),
         ],
     )
-    derived = derive_covariates(dataset).derived
-    assert derived[("s1", "r1")].droppable  # text overlap absent
-    assert not derived[("s1", "r2")].droppable
+    derived = covariates_by_pair(dataset)
+    assert math.isnan(derived[("s1", "r1")]["text_overlap"])  # text overlap absent
+    assert not any(math.isnan(v) for v in derived[("s1", "r2")].values())
+
+
+def test_covariate_matrix_rows_follow_reviews_and_model_order():
+    dataset = build_dataset(
+        VenueConfig.icml_like(),
+        [reviewer("r1", seniority=1), reviewer("r2")],
+        [submission("s1"), submission("s2")],
+        [
+            review("s1", "r1", 3, sr_expertise=2, sr_confidence=3, text_overlap=1, bid=4),
+            review("s2", "r2", 4, sr_expertise=3, bid=3),
+        ],
+    )
+    matrix = covariate_matrix(dataset)
+    assert policy_covariates(VenuePolicy.ICML_LIKE) == (
+        "sr_expertise", "sr_confidence", "text_overlap", "bid", "seniority"
+    )
+    assert matrix.dtype == np.float64
+    assert matrix[0].tolist() == [2.0, 3.0, 1.0, 4.0, 1.0]
+    assert matrix[1, [0, 3, 4]].tolist() == [3.0, 3.0, 0.0]
+    assert np.isnan(matrix[1, [1, 2]]).all()
+
+
+PREFERENCES = st.one_of(
+    st.none(), st.just(0), st.integers(min_value=-100, max_value=-1),
+    st.integers(min_value=1, max_value=5),  # a narrow range forces ties
+)
+
+
+@given(entries=st.lists(
+    st.tuples(st.integers(min_value=1, max_value=4), PREFERENCES), min_size=1, max_size=30,
+))
+@settings(max_examples=200, deadline=None)
+def test_preference_columns_equal_the_scalar_rule(entries):
+    reviews = [
+        review(f"s{i}", f"r{rid}", 3, sr_expertise=2, preference_value=pref)
+        for i, (rid, pref) in enumerate(entries)
+    ]
+    dataset = ec_dataset(reviews)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        derived = covariates_by_pair(dataset)
+    expected = reference_preference_covariates(dataset)
+    for pair, (pref_perc, missing_pref) in expected.items():
+        assert derived[pair]["pref_perc"] == pref_perc
+        assert derived[pair]["missing_pref"] == missing_pref
 
 
 @given(prefs=st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=12))
@@ -203,9 +270,9 @@ def test_pref_perc_weakly_decreasing_in_preference(prefs):
         review(f"s{i}", "r1", 3, sr_expertise=2, preference_value=p)
         for i, p in enumerate(prefs)
     ]
-    derived = derive_covariates(ec_dataset(reviews)).derived
+    derived = covariates_by_pair(ec_dataset(reviews))
     pairs = sorted(
-        ((r.preference_value, derived[r.pair].pref_perc) for r in reviews),
+        ((r.preference_value, derived[r.pair]["pref_perc"]) for r in reviews),
         key=lambda t: t[0],
     )
     for (p1, perc1), (p2, perc2) in zip(pairs, pairs[1:]):

@@ -287,3 +287,23 @@ def test_analysis_jsonl_bytes_are_pinned(tmp_path, name, venue):
     out = tmp_path / "analysis.jsonl"
     save_analysis_dataset(analysis, out)
     assert out.read_bytes() == (PINNED / f"analysis_{name}.jsonl").read_bytes()
+
+
+def test_integer_text_overlap_is_written_as_float(tmp_path):
+    # Covariates come from a float matrix, so a hand-written integer overlap
+    # (valid JSON input) is serialized as 1.0 / 0.0, like every other covariate.
+    dataset = build_dataset(
+        VenueConfig.icml_like(),
+        [reviewer("r1"), reviewer("r2")],
+        [submission("s1")],
+        [
+            review("s1", "r1", 4, sr_expertise=3, sr_confidence=3, text_overlap=1, bid=4),
+            review("s1", "r2", 2, sr_expertise=2, sr_confidence=2, text_overlap=0, bid=3),
+        ],
+    )
+    analysis, _ = filter_dataset(dataset, relation_for(dataset, {("s1", "r1")}))
+    out = tmp_path / "analysis.jsonl"
+    save_analysis_dataset(analysis, out)
+    lines = out.read_text().splitlines()
+    assert '"text_overlap":1.0' in lines[0]
+    assert '"text_overlap":0.0' in lines[1]

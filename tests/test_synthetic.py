@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from revaudit.citations import detect_citations, parse_reference_entry
-from revaudit.dataset import derive_covariates, load_dataset, save_dataset
+from revaudit.dataset import covariate_matrix, load_dataset, policy_covariates, save_dataset
 from revaudit.errors import InfeasibleAssignmentError, ValidationError
 from revaudit.filtering import filter_dataset
 from revaudit.parametric import build_rows, fit_wls
@@ -43,7 +43,7 @@ def test_generated_data_loads_without_warnings(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reloaded = load_dataset(tmp_path)
-        derive_covariates(reloaded)
+        covariate_matrix(reloaded)
     assert reloaded.counts == dataset.counts
 
 
@@ -76,6 +76,30 @@ def test_noiseless_limit_reproduces_rounded_model():
             np.rint(3.0 + truth.quality[record.submission_id]), 1, 5
         )
         assert record.score == int(expected)
+
+
+def test_ec_linear_predictor_uses_the_covariate_matrix(tmp_path):
+    # Noise far below the tolerance leaves the latent score equal to the
+    # linear predictor, which must be built from the analysis covariates.
+    config = GeneratorConfig.ec_like(
+        n_submissions=200, noise_scale=1e-300, citation_bias=0.4,
+        missingness={"preference": 0.3}, seed=21, render_references=False,
+    )
+    dataset, _, truth = generate(config)
+    save_dataset(dataset, tmp_path)
+    reloaded = load_dataset(tmp_path)
+    matrix = covariate_matrix(reloaded)
+    assert matrix[:, 2].min() == 0.0 and matrix[:, 2].max() == 1.0  # both encodings occur
+    names = policy_covariates(config.policy)
+    coeffs = np.array([config.covariate_coeffs[name] for name in names])
+    for record, row in zip(reloaded.reviews, matrix):
+        rebuilt = (
+            config.baseline
+            + config.quality_coeff * truth.quality[record.submission_id]
+            + float(coeffs @ row)
+            + config.citation_bias * truth.cited[record.pair]
+        )
+        assert abs(truth.latent_scores[record.pair] - rebuilt) <= 1e-12
 
 
 def test_latent_variance_decomposition():
