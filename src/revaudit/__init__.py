@@ -56,7 +56,6 @@ from .nonparametric import (
     MatchedTriple,
     PermutationResult,
     bootstrap_ci,
-    exact_permutation_p,
     match,
     permutation_test,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "citation_coverage",
     "detect_citations",
     "diagnostics",
-    "exact_permutation_p",
     "filter_dataset",
     "fit_wls",
     "generate",

@@ -234,6 +234,9 @@ def assign(workdir, venue_config, similarity_path, citation_weight, paper_load,
         lambdas = [float(x) for x in (sweep or "").split(",") if x.strip()]
     except ValueError as exc:
         raise ValidationError(f"--sweep takes comma-separated numbers, got {sweep!r}") from exc
+    # The sweep validates every lambda before its first solve, and nothing is
+    # written until every solve has succeeded.
+    points = asg.tradeoff_sweep(sim, relation, spec, lambdas) if sweep else []
     result = asg.solve(sim, relation, spec)
     if edits_path:
         result = asg.apply_edits(result, asg.load_edits(edits_path), sim, relation, spec)
@@ -244,7 +247,6 @@ def assign(workdir, venue_config, similarity_path, citation_weight, paper_load,
     )
 
     if sweep:
-        points = asg.tradeoff_sweep(sim, relation, spec, lambdas)
         with (wd / SWEEP_FILE).open("w", encoding="utf-8", newline="") as fh:
             fh.write("lambda,objective_quality,cited_count\n")
             for point in points:

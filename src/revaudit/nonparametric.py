@@ -12,7 +12,6 @@ matching, so no reviewer joins more than one triple per submission.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,15 @@ from .errors import NoAnalyzableDataError, SampleSizeError, ValidationError
 from .filtering import AnalysisDataset, AnalysisRecord
 
 OVERLAP_TOLERANCE = 0.1
+P_EXACT = "exact"
+P_MONTE_CARLO = "monte_carlo"
+# Resampling draws this many rows per rng.integers call.  Row chunks read the
+# generator's stream in the same order as one iterations x K draw, so seeded
+# results do not depend on it (tests/test_resampling_pins.py).
+RESAMPLE_ROWS = 1_000
+# Widest integer lattice (2 * sum |d| + 1 points) the exact law is built on;
+# wider laws, from differences far outside any score scale, use Monte Carlo.
+EXACT_MAX_POINTS = 1 << 16
 _TOL_EPS = 1e-9  # absolute slack so 0.65 - 0.55 <= 0.1 holds despite float repr
 
 
@@ -45,6 +53,7 @@ class PermutationResult:
     p_two_sided: float
     ci95_bootstrap: tuple[float, float] | None
     iterations: int
+    p_method: str  # P_EXACT or P_MONTE_CARLO
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -169,9 +178,17 @@ def permutation_test(
 ) -> PermutationResult:
     """Sign-flip permutation test of the mean within-triple difference.
 
-    Each iteration flips every triple's difference independently with
-    probability one half; the two-sided p-value uses the add-one estimator
-    (1 + #{|tau_perm| >= |tau|}) / (1 + iterations), so it is never zero.
+    The two-sided p is P(|sum_i e_i d_i| >= |sum_i d_i|) over independent fair
+    signs e_i.  When every difference is a finite integer (the observed score
+    channel) it is computed exactly, with no random draw; ``p_method`` is then
+    ``"exact"``.  An exact p is at least 2^(1-K'), K' being the number of
+    nonzero differences, and is accurate to float64 relative precision while
+    it stays above about 1e-300; a p below 2^-1074 (possible only once K'
+    exceeds 1074) is returned as 0.0.  Otherwise (latent float scores, or an
+    integer law wider than ``EXACT_MAX_POINTS`` lattice points) ``p_method``
+    is ``"monte_carlo"``: each of ``iterations`` rows flips every difference
+    with probability one half, and the add-one estimator
+    (1 + #{|tau_perm| >= |tau|}) / (1 + iterations) is never zero.
     Deterministic for a given seed.  The bootstrap interval is attached when
     at least two triples exist, unless ``bootstrap`` is disabled.
     """
@@ -183,33 +200,71 @@ def permutation_test(
     d = np.array([t.difference for t in triples], dtype=float)
     statistic = float(d.mean())
 
-    rng = np.random.default_rng(None if seed is None else [seed, 0])
-    signs = rng.integers(0, 2, size=(iterations, k)) * 2 - 1
-    perm_stats = (signs * d).mean(axis=1)
-    exceed = int(np.sum(np.abs(perm_stats) >= abs(statistic)))
-    p = (1 + exceed) / (1 + iterations)
+    magnitudes = np.abs(d)
+    if (
+        np.all(magnitudes == np.floor(magnitudes))
+        and 2 * magnitudes.sum() + 1 <= EXACT_MAX_POINTS
+    ):
+        p, method = _exact_sign_flip_p(d.astype(np.int64)), P_EXACT
+    else:
+        p, method = _monte_carlo_sign_flip_p(d, iterations, seed), P_MONTE_CARLO
 
     ci = None
     if bootstrap and k >= 2:
         ci = bootstrap_ci(triples, iterations=iterations, seed=None if seed is None else seed)
     return PermutationResult(
         statistic=statistic, n_triples=k, p_two_sided=p,
-        ci95_bootstrap=ci, iterations=iterations,
+        ci95_bootstrap=ci, iterations=iterations, p_method=method,
     )
 
 
-def exact_permutation_p(differences: list[float]) -> float:
-    """Two-sided p by full enumeration of all 2^K sign patterns (K <= 20)."""
-    k = len(differences)
-    if k == 0:
-        raise NoAnalyzableDataError("no differences to enumerate")
-    if k > 20:
-        raise ValidationError(f"enumeration over 2^{k} patterns refused; use Monte Carlo")
-    d = np.asarray(differences, dtype=float)
-    observed = abs(d.mean())
-    signs = np.array(list(product((-1.0, 1.0), repeat=k)))
-    perm_stats = np.abs((signs * d).mean(axis=1))
-    return float(np.sum(perm_stats >= observed) / len(perm_stats))
+def _binomial_pmf(m: int) -> np.ndarray:
+    """C(m, j) / 2^m for j = 0..m, each correctly rounded from exact integers."""
+    coefficient, coefficients = 1, []
+    for j in range(m + 1):
+        coefficients.append(coefficient)
+        coefficient = coefficient * (m - j) // (j + 1)
+    denominator = 1 << m
+    return np.array([c / denominator for c in coefficients])
+
+
+def _exact_sign_flip_p(d: np.ndarray) -> float:
+    """Exact two-sided sign-flip p for integer differences (Pagano & Tritchler 1983).
+
+    The m differences of magnitude v contribute v * (2B - m), B ~ Bin(m, 1/2);
+    the null law of the sum is the convolution of one such law per distinct
+    magnitude, on the lattice -T..T, T = sum |d|.  Zero differences drop out.
+    """
+    observed = abs(int(d.sum()))
+    if observed == 0:
+        return 1.0
+    values, counts = np.unique(np.abs(d[d != 0]), return_counts=True)
+    law = np.ones(1)
+    for v, m in zip(values.tolist(), counts.tolist()):
+        group = np.zeros(2 * v * m + 1)
+        group[:: 2 * v] = _binomial_pmf(m)
+        law = np.convolve(law, group)
+    total = (len(law) - 1) // 2  # law[i] = P(sum = i - total)
+    p = law[: total - observed + 1].sum() + law[total + observed:].sum()
+    return min(float(p), 1.0)
+
+
+def _monte_carlo_sign_flip_p(d: np.ndarray, iterations: int, seed: int | None) -> float:
+    """Add-one Monte Carlo p over ``iterations`` sign rows, drawn RESAMPLE_ROWS at a time."""
+    rng = np.random.default_rng(None if seed is None else [seed, 0])
+    threshold = abs(d.mean())
+    exceed = 0
+    for rows in _row_chunks(iterations):
+        signs = rng.integers(0, 2, size=(rows, len(d)))
+        signs *= 2
+        signs -= 1
+        exceed += int(np.sum(np.abs((signs * d).mean(axis=1)) >= threshold))
+    return (1 + exceed) / (1 + iterations)
+
+
+def _row_chunks(iterations: int) -> list[int]:
+    full, rest = divmod(iterations, RESAMPLE_ROWS)
+    return [RESAMPLE_ROWS] * full + ([rest] if rest else [])
 
 
 def bootstrap_ci(
@@ -217,7 +272,11 @@ def bootstrap_ci(
     iterations: int = 10_000,
     seed: int | None = None,
 ) -> tuple[float, float]:
-    """Percentile 95% interval of the mean difference over triple resamples."""
+    """Percentile 95% interval of the mean difference over triple resamples.
+
+    Resample indices are drawn RESAMPLE_ROWS rows at a time, so memory is
+    O(RESAMPLE_ROWS * K) whatever ``iterations`` is.
+    """
     k = len(triples)
     if k < 2:
         raise SampleSizeError(f"bootstrap needs at least 2 triples, got {k}")
@@ -225,8 +284,9 @@ def bootstrap_ci(
         raise ValidationError("iterations must be positive")
     d = np.array([t.difference for t in triples], dtype=float)
     rng = np.random.default_rng(None if seed is None else [seed, 1])
-    idx = rng.integers(0, k, size=(iterations, k))
-    resampled = d[idx].mean(axis=1)
+    resampled = np.concatenate([
+        d[rng.integers(0, k, size=(rows, k))].mean(axis=1) for rows in _row_chunks(iterations)
+    ])
     lo, hi = np.percentile(resampled, [2.5, 97.5])
     return (float(lo), float(hi))
 
@@ -267,4 +327,6 @@ def load_permutation_result(path: Path | str) -> PermutationResult:
         raw = read_json(path)
         ci = raw.get("ci95_bootstrap")
         raw["ci95_bootstrap"] = tuple(ci) if ci else None
+        if raw["p_method"] not in (P_EXACT, P_MONTE_CARLO):
+            raise ValueError(f"unknown p_method {raw['p_method']!r}")
         return PermutationResult(**raw)

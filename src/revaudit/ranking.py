@@ -35,9 +35,15 @@ class RankingOutcome:
         }
 
 
-def _expected_rank(value: float, others: np.ndarray) -> float:
-    greater = int(np.sum(others > value))
-    ties = int(np.sum(others == value))
+def _expected_ranks(values: np.ndarray, own: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Midrank of each value among all ``ordered`` means except its submission's ``own``.
+
+    ``1 + #{others > value} + #{others == value} / 2``, with counts taken from
+    the sorted means and the submission's own mean taken back out.
+    """
+    above = np.searchsorted(ordered, values, side="right")
+    greater = len(ordered) - above - (own > values)
+    ties = above - np.searchsorted(ordered, values, side="left") - (own == values)
     return 1.0 + greater + 0.5 * ties
 
 
@@ -71,31 +77,26 @@ def rank_improvement(
         [np.mean([r.score for r in by_submission[sid]]) for sid in sids], dtype=float
     )
 
-    score_max = dataset.config.score_max
-    per_pair: dict[Pair, float] = {}
-    per_submission_gains: list[list[float]] = []
-    for i, sid in enumerate(sids):
-        others = np.delete(means, i)
-        rank_before = _expected_rank(means[i], others)
-        records = by_submission[sid]
-        count = len(records)
-        gains = []
-        for record in records:
-            new_score = record.score + 1
-            if cap:
-                new_score = min(new_score, score_max)
-            new_mean = means[i] + (new_score - record.score) / count
-            rank_after = _expected_rank(new_mean, others)
-            improvement = (rank_before - rank_after) / n * 100.0
-            per_pair[record.pair] = improvement
-            gains.append(improvement)
-        per_submission_gains.append(gains)
+    records = [record for sid in sids for record in by_submission[sid]]
+    counts = np.array([len(by_submission[sid]) for sid in sids])
+    own = np.repeat(means, counts)
+    scores = np.array([record.score for record in records], dtype=float)
+    raised = scores + 1
+    if cap:
+        raised = np.minimum(raised, dataset.config.score_max)
+    new_means = own + (raised - scores) / np.repeat(counts, counts)
+
+    ordered = np.sort(means)
+    rank_before = _expected_ranks(own, own, ordered)
+    rank_after = _expected_ranks(new_means, own, ordered)
+    gains = (rank_before - rank_after) / n * 100.0
+    per_pair = dict(zip((record.pair for record in records), gains.tolist()))
 
     if average_over == AVERAGE_OVER_PAIRS:
-        all_gains = [g for gains in per_submission_gains for g in gains]
-        average = float(np.mean(all_gains))
+        average = float(np.mean(gains))
     else:
-        average = float(np.mean([np.mean(gains) for gains in per_submission_gains]))
+        bounds = np.cumsum(counts)[:-1]
+        average = float(np.mean([np.mean(block) for block in np.split(gains, bounds)]))
 
     return RankingOutcome(
         per_pair_improvement=per_pair,

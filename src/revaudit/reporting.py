@@ -13,11 +13,18 @@ from .artifacts import write_json
 from .dataset import VenueConfig, VenuePolicy
 from .errors import ValidationError
 from .filtering import AnalysisDataset, FilterReport
-from .nonparametric import MatchedTriple, PermutationResult
+from .nonparametric import P_EXACT, P_MONTE_CARLO, MatchedTriple, PermutationResult
 from .parametric import FitResult
 
 PARAMETRIC = "parametric"
 NONPARAMETRIC = "nonparametric"
+
+P_METHOD_T = "t"
+P_METHOD_LABELS = {
+    P_METHOD_T: "t distribution",
+    P_EXACT: "Exact sign-flip",
+    P_MONTE_CARLO: "Monte Carlo sign-flip",
+}
 
 CAVEAT_UNACCOUNTED = "genuinely-missing-citation rate unaccounted (~5%)"
 CAVEAT_WITHIN_REVIEWER = "within-reviewer score correlations tolerated"
@@ -33,6 +40,7 @@ class BiasReport:
     statistic: float
     ci95: tuple[float, float]
     p_two_sided: float
+    p_method: str  # "t" (WLS), "exact" or "monte_carlo" (permutation test)
     scale_points: int
     missing_values: str
     missing_citations: str
@@ -84,6 +92,7 @@ def build_parametric_report(
         statistic=fit.citation_effect,
         ci95=fit.ci95,
         p_two_sided=fit.p_values["citation_effect"],
+        p_method=P_METHOD_T,
         scale_points=config.score_span + 1,
         missing_values="Incorporated" if policy == VenuePolicy.EC_LIKE else "Removed",
         missing_citations=missing_citations,
@@ -121,6 +130,7 @@ def build_nonparametric_report(
         statistic=result.statistic,
         ci95=ci,
         p_two_sided=result.p_two_sided,
+        p_method=result.p_method,
         scale_points=config.score_span + 1,
         missing_values="Removed",
         missing_citations="Removed",
@@ -156,6 +166,7 @@ def render_reports_text(reports: list[BiasReport], filter_report: FilterReport |
             [f"[{r.ci95[0]:.2f}, {r.ci95[1]:.2f}]" for r in reports],
         ),
         row("P value", [f"{r.p_two_sided:.3g}" for r in reports]),
+        row("P value method", [P_METHOD_LABELS[r.p_method] for r in reports]),
     ]
     if filter_report is not None:
         lines.append("")

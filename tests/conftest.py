@@ -11,6 +11,7 @@ from revaudit.dataset import (
     VenueConfig,
 )
 from revaudit.filtering import AnalysisDataset, AnalysisRecord
+from revaudit.nonparametric import MatchedTriple
 
 
 @pytest.fixture
@@ -79,3 +80,14 @@ def icml_record(sid, rid, score, cited, sr_expertise=3, sr_confidence=3,
         sr_expertise=sr_expertise, sr_confidence=sr_confidence,
         text_overlap=text_overlap, bid=bid, seniority=seniority,
     )
+
+
+def triples_from(diffs):
+    """One matched triple per within-triple score difference."""
+    return [
+        MatchedTriple(
+            submission_id=f"s{i}", cited_reviewer_id=f"c{i}", uncited_reviewer_id=f"u{i}",
+            score_cited=float(d), score_uncited=0.0,
+        )
+        for i, d in enumerate(diffs)
+    ]

@@ -32,7 +32,6 @@ from revaudit.dataset import VenueConfig, VenuePolicy
 from revaudit.filtering import AnalysisDataset, filter_dataset
 from revaudit.nonparametric import (
     MatchedTriple,
-    exact_permutation_p,
     match,
     permutation_test,
 )
@@ -40,6 +39,7 @@ from revaudit.parametric import AnalysisRow, build_rows, fit_wls
 from revaudit.ranking import rank_improvement
 from revaudit.synthetic import GeneratorConfig, generate, reference_corpus
 from conftest import build_dataset, review
+from permutation_oracle import exact_permutation_p
 
 
 @contextmanager

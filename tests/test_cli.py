@@ -137,9 +137,12 @@ def test_nonparametric_cli_path(tmp_path, capsys):
     assert result["n_triples"] >= 1
     assert 0.0 < result["p_two_sided"] <= 1.0
     assert (tmp_path / "triples.csv").exists()
+    assert result["p_method"] == "exact"
     code, out, _ = run(capsys, "report", "--workdir", wd)
     assert code == 0
     assert "Nonparametric" in out
+    assert "P value method                Exact sign-flip" in out
+    assert json.loads((tmp_path / "report.json").read_text())["reports"][0]["p_method"] == "exact"
 
 
 def test_nonparametric_requires_seed(simulated, capsys):
@@ -188,6 +191,7 @@ def test_assign_cli_with_similarity(assign_workdir, capsys):
     ("--lambda", "-1"),
     ("--sweep", "0,abc"),
     ("--sweep", "0,nan"),
+    ("--sweep", "0,-1"),
 ])
 def test_assign_rejects_a_bad_lambda_as_json(assign_workdir, capsys, flags):
     code, _, err = run(
@@ -196,6 +200,8 @@ def test_assign_rejects_a_bad_lambda_as_json(assign_workdir, capsys, flags):
     )
     assert code == 1
     assert json.loads(err)["error"]["type"] == "ValidationError"
+    assert not (assign_workdir / "assignment.csv").exists()
+    assert not (assign_workdir / "sweep.csv").exists()
 
 
 def test_venue_config_flag_overrides_default_location(simulated, capsys):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import analysis_dataset, icml_record
+from permutation_oracle import exact_permutation_p
 from revaudit.dataset import VenueConfig
 from revaudit.errors import NoAnalyzableDataError, SampleSizeError
 from revaudit.nonparametric import (
     MatchedTriple,
     bootstrap_ci,
     compatible,
-    exact_permutation_p,
     match,
     permutation_test,
 )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_dataset, review, reviewer, submission
 from revaudit.dataset import VenueConfig
@@ -156,3 +158,47 @@ def test_average_improvement_near_published_magnitude():
         dataset, _, _ = generate(config)
         values.append(rank_improvement(dataset).average_improvement)
     assert abs(float(np.mean(values)) - 11.0) <= 3.0
+
+
+def per_pair_oracle(dataset, cap, average_over):
+    """The per-pair rule: each submission's midranks counted against all other means."""
+    by_submission = dataset.reviews_by_submission()
+    sids = [s.id for s in dataset.active_submissions()]
+    n = len(sids)
+    means = np.array([np.mean([r.score for r in by_submission[sid]]) for sid in sids])
+
+    def expected_rank(value, others):
+        return 1.0 + int(np.sum(others > value)) + 0.5 * int(np.sum(others == value))
+
+    per_pair, per_submission = {}, []
+    for i, sid in enumerate(sids):
+        others = np.delete(means, i)
+        before = expected_rank(means[i], others)
+        records = by_submission[sid]
+        gains = []
+        for record in records:
+            new_score = min(record.score + 1, dataset.config.score_max) if cap else record.score + 1
+            after = expected_rank(means[i] + (new_score - record.score) / len(records), others)
+            per_pair[record.pair] = (before - after) / n * 100.0
+            gains.append(per_pair[record.pair])
+        per_submission.append(gains)
+    if average_over == "pairs":
+        average = float(np.mean([g for gains in per_submission for g in gains]))
+    else:
+        average = float(np.mean([np.mean(gains) for gains in per_submission]))
+    return per_pair, average
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scores=st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=4), min_size=1, max_size=12),
+    cap=st.booleans(),
+    average_over=st.sampled_from(["pairs", "submissions"]),
+)
+def test_sorted_means_match_the_per_pair_rule(scores, cap, average_over):
+    # Scores on a 5-point scale with at most four reviews tie many means.
+    dataset = score_dataset({f"s{i:02d}": row for i, row in enumerate(scores)})
+    outcome = rank_improvement(dataset, cap=cap, average_over=average_over)
+    per_pair, average = per_pair_oracle(dataset, cap, average_over)
+    assert list(outcome.per_pair_improvement.items()) == list(per_pair.items())
+    assert outcome.average_improvement == average

@@ -19,7 +19,7 @@ def test_parametric_row_renders_like_a_published_table():
     report = BiasReport(
         venue_label="EC_LIKE", analysis="parametric",
         n_submissions=283, n_reviewers=152, n_pairs=840,
-        statistic=0.23, ci95=(0.06, 0.40), p_two_sided=0.009,
+        statistic=0.23, ci95=(0.06, 0.40), p_two_sided=0.009, p_method="t",
         scale_points=5, missing_values="Incorporated", missing_citations="Removed",
     )
     text = render_reports_text([report], None)
@@ -40,7 +40,7 @@ def test_nonparametric_row_renders_triples_and_pairs():
     ]
     result = PermutationResult(
         statistic=0.42, n_triples=60, p_two_sided=0.02, ci95_bootstrap=(0.10, 0.73),
-        iterations=10_000,
+        iterations=10_000, p_method="monte_carlo",
     )
     report = build_nonparametric_report(result, triples, VenueConfig.icml_like())
     assert report.n_submissions == 60
@@ -53,7 +53,8 @@ def test_nonparametric_row_renders_triples_and_pairs():
 
 def test_statistic_outside_scale_is_rejected():
     result = PermutationResult(
-        statistic=9.0, n_triples=1, p_two_sided=0.5, ci95_bootstrap=None, iterations=100
+        statistic=9.0, n_triples=1, p_two_sided=0.5, ci95_bootstrap=None, iterations=100,
+        p_method="exact",
     )
     triple = MatchedTriple(
         submission_id="s", cited_reviewer_id="c", uncited_reviewer_id="u",

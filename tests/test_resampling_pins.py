@@ -9,17 +9,8 @@ not a multiple of the chunk and a single iteration.
 import numpy as np
 import pytest
 
-from revaudit.nonparametric import MatchedTriple, bootstrap_ci, permutation_test
-
-
-def triples_from(diffs):
-    return [
-        MatchedTriple(
-            submission_id=f"s{i}", cited_reviewer_id=f"c{i}", uncited_reviewer_id=f"u{i}",
-            score_cited=float(d), score_uncited=0.0,
-        )
-        for i, d in enumerate(diffs)
-    ]
+from conftest import triples_from
+from revaudit.nonparametric import bootstrap_ci, permutation_test
 
 
 def _inputs():
