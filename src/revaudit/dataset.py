@@ -296,12 +296,17 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
     )
 
 
+def score_off_scale(score: float, config: VenueConfig) -> str | None:
+    """What is wrong with a score outside the venue scale (NaN included), else None."""
+    if config.score_min <= score <= config.score_max:
+        return None
+    return f"has score {score} outside [{config.score_min}, {config.score_max}]"
+
+
 def _validate_scales(record: ReviewRecord, config: VenueConfig, where: str) -> None:
-    if not config.score_min <= record.score <= config.score_max:
-        raise ValidationError(
-            f"{where}: {record._tag()} has score {record.score} outside "
-            f"[{config.score_min}, {config.score_max}]"
-        )
+    complaint = score_off_scale(record.score, config)
+    if complaint:
+        raise ValidationError(f"{where}: {record._tag()} {complaint}")
     lo, hi = config.expertise_scale
     if not lo <= record.sr_expertise <= hi:
         raise ValidationError(

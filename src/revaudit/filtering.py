@@ -8,6 +8,7 @@ whole submissions with an adjudicated missing-citation complaint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .dataset import (
     covariate_matrix,
     ec_preference_missing,
     policy_covariates,
+    score_off_scale,
 )
 from .errors import NoAnalyzableDataError, ValidationError
 
@@ -264,10 +266,32 @@ def save_analysis_dataset(analysis: AnalysisDataset, path: Path | str) -> None:
 
 
 def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisDataset:
+    """Read ``analysis.jsonl``.
+
+    A record whose score lies outside the venue scale, whose covariate names
+    are not the venue model's, or that holds a non-finite covariate is a
+    ValidationError naming its line.
+    """
+    names = set(policy_covariates(config.venue_policy))
+    source = Path(path).name
     by_submission: dict[str, list[AnalysisRecord]] = {}
     with parsing(path):
-        for _, obj in read_jsonl(path):
+        for lineno, obj in read_jsonl(path):
             record = AnalysisRecord(**obj)
+            covariates = record.covariates
+            complaint = score_off_scale(record.score, config)
+            if complaint:
+                raise ValidationError(f"{source}:{lineno} {complaint}")
+            if covariates.keys() != names:
+                raise ValidationError(
+                    f"{source}:{lineno} has covariates {sorted(covariates)}, not the "
+                    f"{config.venue_policy.value} model's {sorted(names)}"
+                )
+            # A sum is finite when every term is, unless finite terms overflow.
+            if not math.isfinite(sum(covariates.values())):
+                bad = sorted(k for k, v in covariates.items() if not math.isfinite(v))
+                if bad:
+                    raise ValidationError(f"{source}:{lineno} has non-finite covariates {bad}")
             by_submission.setdefault(record.submission_id, []).append(record)
     return AnalysisDataset(
         config=config,

@@ -11,6 +11,7 @@ matching, so no reviewer joins more than one triple per submission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -144,8 +145,13 @@ def match(
     """Build matched triples per submission via maximum bipartite matching.
 
     Submissions where no compatible (cited, uncited) pair exists contribute
-    nothing.  Requires the ICML-like covariate set on every record.
+    nothing.  Requires the ICML-like covariate set on every record, and a
+    finite, non-negative ``overlap_tolerance``.
     """
+    if not math.isfinite(overlap_tolerance) or overlap_tolerance < 0:
+        raise ValidationError(
+            f"the overlap tolerance must be finite and non-negative, got {overlap_tolerance}"
+        )
     triples: list[MatchedTriple] = []
     for sid in analysis.submissions():
         records = analysis.by_submission[sid]

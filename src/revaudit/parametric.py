@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import linalg, stats
 
 from .artifacts import parsing, read_json, write_csv, write_json
 from .dataset import VenuePolicy, policy_covariates
@@ -128,6 +128,12 @@ def fit_wls(rows: list[AnalysisRow], policy: VenuePolicy) -> FitResult:
     carry no information and are excluded from estimation; their coefficients
     report as 0 with NaN standard errors.  Two-sided p-values use Student's t
     with df = n_rows - (number of estimated parameters).
+
+    The weighted design is factored once, by QR with column pivoting (Golub &
+    Van Loan, section 5.4).  Its rank counts the |R_jj| above
+    |R_00| * max(n, p) * eps; a shortfall raises RankDeficientError naming
+    the columns pivoted past the rank.  The covariance is sigma^2 R^-1 R^-T,
+    so X'WX is never formed.
     """
     if not rows:
         raise SampleSizeError("no analysis rows")
@@ -142,22 +148,25 @@ def fit_wls(rows: list[AnalysisRow], policy: VenuePolicy) -> FitResult:
         raise SampleSizeError(f"{n} rows cannot identify {p} parameters")
 
     sw = np.sqrt(w)
-    Xw = Xk * sw[:, None]
-    yw = y * sw
-    if np.linalg.matrix_rank(Xw) < p:
-        collinear = _collinear_columns(Xw, [names[j] for j in keep])
+    q, r, piv = linalg.qr(Xk * sw[:, None], mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > diag[0] * max(n, p) * np.finfo(float).eps))
+    if rank < p:
+        collinear = sorted(names[keep[j]] for j in piv[rank:])
         raise RankDeficientError(
             f"design is rank deficient; collinear columns: {', '.join(collinear)}",
             columns=collinear,
         )
 
-    beta, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
+    beta = np.empty(p)
+    beta[piv] = linalg.solve_triangular(r, q.T @ (y * sw))
     residuals = y - Xk @ beta
     rss_w = float(np.sum(w * residuals**2))
     df = n - p
     sigma2 = rss_w / df
-    cov = sigma2 * np.linalg.inv(Xw.T @ Xw)
-    se = np.sqrt(np.diag(cov))
+    r_inv, _ = linalg.lapack.dtrtri(r)  # R^-1; every R_jj is nonzero past the rank test
+    se = np.empty(p)
+    se[piv] = np.sqrt(sigma2 * np.sum(r_inv**2, axis=1))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = beta / se
@@ -187,17 +196,6 @@ def fit_wls(rows: list[AnalysisRow], policy: VenuePolicy) -> FitResult:
         n_rows=n,
         df=df,
     )
-
-
-def _collinear_columns(Xw: np.ndarray, names: list[str]) -> list[str]:
-    """Columns implicated in the rank deficiency, via pivoted QR."""
-    from scipy.linalg import qr
-
-    _, r, piv = qr(Xw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(Xw.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
-    return sorted(names[j] for j in piv[rank:])
 
 
 @dataclass(frozen=True)

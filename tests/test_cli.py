@@ -301,3 +301,58 @@ def test_wrong_shape_artifact_is_a_json_error(
     error = json.loads(err)["error"]
     assert error["type"] == error_type
     assert names in error["message"]
+
+
+@pytest.fixture
+def icml_filtered(tmp_path, capsys):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"n_submissions": 150, "citation_bias": 0.3}))
+    wd = str(tmp_path)
+    for args in (
+        ("simulate", "--policy", "ICML_LIKE", "--seed", "4", "--config", str(config)),
+        ("extract-citations",),
+        ("filter",),
+    ):
+        code, _, err = run(capsys, *args, "--workdir", wd)
+        assert code == 0, (args, err)
+    return tmp_path
+
+
+@pytest.mark.parametrize("edit, names", [
+    ({"score": 1e9}, "has score 1000000000.0 outside [1, 6]"),
+    ({"score": float("nan")}, "has score nan outside [1, 6]"),
+    ({"covariates": {"text_overlap": float("nan")}}, "non-finite covariates ['text_overlap']"),
+    ({"covariates": {"bid": float("inf")}}, "non-finite covariates ['bid']"),
+    ({"covariates": {"pref_perc": 50.0}}, "'pref_perc'"),
+], ids=["score-huge", "score-nan", "overlap-nan", "bid-inf", "extra-covariate"])
+@pytest.mark.parametrize("mode", ["--parametric", "--nonparametric"])
+def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, names, mode):
+    path = icml_filtered / "analysis.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["covariates"].update(edit.get("covariates", {}))
+    record.update({k: v for k, v in edit.items() if k != "covariates"})
+    lines[2] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    code, _, err = run(capsys, "analyze", mode, "--seed", "5", "--workdir", str(icml_filtered))
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("analysis.jsonl:3 ")
+    assert names in error["message"]
+    assert not (icml_filtered / "fit.json").exists()
+    assert not (icml_filtered / "triples.csv").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_analyze_rejects_a_bad_overlap_tolerance(icml_filtered, capsys, tolerance):
+    code, _, err = run(
+        capsys, "analyze", "--nonparametric", "--seed", "5",
+        "--overlap-tolerance", tolerance, "--workdir", str(icml_filtered),
+    )
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert "overlap tolerance" in error["message"]
+    assert not (icml_filtered / "triples.csv").exists()
+    assert not (icml_filtered / "permutation.json").exists()

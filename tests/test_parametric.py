@@ -149,24 +149,60 @@ def test_fit_output_shape_for_reporting():
 
 
 def test_rank_deficient_design_names_columns():
-    rng = np.random.default_rng(3)
-    n = 30
-    base = rng.standard_normal(n)
-    rows = make_rows(
-        rng.standard_normal(n),
-        covariate_deltas=[
-            {
-                "sr_expertise": base[i],
-                "pref_perc": 2.0 * base[i],  # exact collinearity
-                "missing_pref": rng.standard_normal(),
-                "seniority": rng.standard_normal(),
-            }
-            for i in range(n)
-        ],
-    )
-    with pytest.raises(RankDeficientError) as excinfo:
-        fit_wls(rows, VenuePolicy.EC_LIKE)
-    assert excinfo.value.columns
+    # Exact collinearity must raise.  At noise 2.5e-14 an SVD rank test calls
+    # the design deficient while the pivoted-QR rule does not; either way a
+    # raise names the columns, and a fit has finite standard errors.
+    jitter = np.random.default_rng(17).standard_normal(30)
+    for noise in (0.0, 2.5e-14):
+        rng = np.random.default_rng(3)
+        n = 30
+        base = rng.standard_normal(n)
+        rows = make_rows(
+            rng.standard_normal(n),
+            covariate_deltas=[
+                {
+                    "sr_expertise": base[i],
+                    "pref_perc": 2.0 * base[i] + noise * jitter[i],
+                    "missing_pref": rng.standard_normal(),
+                    "seniority": rng.standard_normal(),
+                }
+                for i in range(n)
+            ],
+        )
+        try:
+            fit = fit_wls(rows, VenuePolicy.EC_LIKE)
+        except RankDeficientError as exc:
+            assert exc.columns
+        else:
+            assert noise > 0.0
+            assert np.all(np.isfinite(list(fit.std_errors.values())))
+
+
+def test_near_collinear_designs_name_columns_or_fit_finitely():
+    rng = np.random.default_rng(2024)
+    names = ("sr_expertise", "pref_perc", "missing_pref", "seniority")
+    outcomes = {"raised": 0, "fitted": 0}
+    for _ in range(200):
+        n = 40
+        X = rng.standard_normal((n, 4))
+        a, b = rng.choice(4, 2, replace=False)
+        noise = 10 ** rng.uniform(-17, -11)
+        X[:, b] = rng.uniform(0.5, 3.0) * X[:, a] + noise * rng.standard_normal(n)
+        y = 0.2 + X @ rng.standard_normal(4) + rng.standard_normal(n)
+        rows = make_rows(
+            y,
+            covariate_deltas=[dict(zip(names, X[i])) for i in range(n)],
+            weights=rng.uniform(0.3, 2.0, n),
+        )
+        try:
+            fit = fit_wls(rows, VenuePolicy.EC_LIKE)
+        except RankDeficientError as exc:
+            assert exc.columns
+            outcomes["raised"] += 1
+        else:
+            assert np.all(np.isfinite(list(fit.std_errors.values())))
+            outcomes["fitted"] += 1
+    assert min(outcomes.values()) > 0
 
 
 def test_too_few_rows_is_sample_size_error():
