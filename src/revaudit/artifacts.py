@@ -6,10 +6,9 @@
   one header row.  The one exception is the CLI's ``sweep.csv``, written with
   LF line endings.
 
-Fixed formats are what make reruns byte-identical.  Malformed JSON raises
-:class:`ParseError` naming the file (and the line, for JSON Lines); so does a
-well-formed file of the wrong shape, when its loader reads it inside
-:func:`parsing`.
+Fixed formats are what make reruns byte-identical.  Loaders read inside
+:func:`parsing`, the one place that formats where bad input is: the file, and
+the line while a JSON Lines or CSV record is being read.
 """
 
 from __future__ import annotations
@@ -20,39 +19,74 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ParseError
+from .errors import ParseError, RevauditError
+
+
+class Source:
+    """A file being loaded, and the line of the record being read, if any."""
+
+    def __init__(self, path: Path | str):
+        self.path = Path(path)
+        self.line: int | None = None
+
+    @property
+    def where(self) -> str:
+        name = self.path.name
+        return name if self.line is None else f"{name}:{self.line}"
+
+    def json(self):
+        return json.loads(self.path.read_text(encoding="utf-8"))
+
+    def jsonl(self) -> Iterator[dict]:
+        """Yield the object on each non-blank line; that line is current until the next."""
+        with self.path.open("r", encoding="utf-8") as fh:
+            for self.line, text in enumerate(fh, start=1):
+                if not text.strip():
+                    continue
+                obj = json.loads(text)
+                if not isinstance(obj, dict):
+                    raise ParseError("expected a JSON object")
+                yield obj
+        self.line = None
+
+    def csv(self) -> Iterator[dict[str, str]]:
+        """Yield one dict per data row, keyed by the header row; that row is current."""
+        with self.path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                self.line = reader.line_num
+                yield row
+        self.line = None
 
 
 @contextmanager
-def parsing(path: Path | str) -> Iterator[None]:
-    """Turn a wrong-shaped record read in this block into a ParseError naming the file.
+def parsing(path: Path | str) -> Iterator[Source]:
+    """Read ``path`` in this block; an error raised in it says where the input is bad.
 
-    A missing key, a list where an object belongs or a value of the wrong
-    type surfaces in a loader as KeyError, TypeError, AttributeError or
-    ValueError.
+    Malformed JSON is a ParseError.  So is a missing key, a list where an
+    object belongs or a value of the wrong type, which surface as KeyError,
+    TypeError, AttributeError or ValueError.  A toolkit error keeps its type.
+    The message gains ``<file>:<line>: `` while a record is current, else
+    ``<file>: ``.
     """
-    name = Path(path).name
+    source = Source(path)
     try:
-        yield
+        yield source
+    except RevauditError as exc:
+        exc.args = (f"{source.where}: {exc}",)
+        raise
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source.where}: malformed JSON ({exc.msg})") from exc
     except KeyError as exc:
-        raise ParseError(f"{name}: missing key {exc.args[0]!r}") from exc
+        raise ParseError(f"{source.where}: missing key {exc.args[0]!r}") from exc
     except (TypeError, AttributeError, ValueError) as exc:
-        raise ParseError(f"{name}: wrong shape ({exc})") from exc
+        raise ParseError(f"{source.where}: wrong shape ({exc})") from exc
 
 
 def write_json(path: Path | str, obj) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def read_json(path: Path | str):
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path.name}: malformed JSON ({exc.msg})") from exc
 
 
 def _json_line(obj: dict) -> str:
@@ -64,30 +98,8 @@ def write_jsonl(path: Path | str, rows: Iterable[dict]) -> None:
         fh.writelines(map(_json_line, rows))
 
 
-def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path.name}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path.name}:{lineno}: expected a JSON object")
-            yield lineno, obj
-
-
 def write_csv(path: Path | str, header: list[str], rows: Iterable) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def read_csv(path: Path | str) -> Iterator[dict[str, str]]:
-    """Yield one dict per data row, keyed by the header row."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        yield from csv.DictReader(fh)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .artifacts import parsing, read_csv, write_csv
+from .artifacts import parsing, write_csv
 from .dataset import Pair, ReviewDataset, VenuePolicy
 from .errors import InfeasibleAssignmentError, SolverError, ValidationError
 
@@ -321,12 +321,9 @@ def forbidden_from_bids(dataset: ReviewDataset) -> frozenset[Pair]:
 
 def load_similarity(path: Path | str, forbidden: frozenset[Pair] = frozenset()) -> SimilarityMatrix:
     sim: dict[Pair, float] = {}
-    for row in read_csv(path):
-        try:
-            pair = (row["submission_id"], row["reviewer_id"])
-            sim[pair] = float(row["sim"])
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"bad similarity row {row!r}") from exc
+    with parsing(path) as source:
+        for row in source.csv():
+            sim[(row["submission_id"], row["reviewer_id"])] = float(row["sim"])
     return SimilarityMatrix(sim=sim, forbidden=frozenset(forbidden))
 
 
@@ -335,17 +332,17 @@ def save_assignment(assignment: Assignment, path: Path | str) -> None:
 
 
 def load_assignment_pairs(path: Path | str) -> set[Pair]:
-    with parsing(path):
-        return {(row["submission_id"], row["reviewer_id"]) for row in read_csv(path)}
+    with parsing(path) as source:
+        return {(row["submission_id"], row["reviewer_id"]) for row in source.csv()}
 
 
 def load_edits(path: Path | str) -> list[AssignmentEdit]:
-    with parsing(path):
+    with parsing(path) as source:
         return [
             AssignmentEdit(
                 action=row["action"].strip().lower(),
                 submission_id=row["submission_id"],
                 reviewer_id=row["reviewer_id"],
             )
-            for row in read_csv(path)
+            for row in source.csv()
         ]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import parsing, read_csv, read_json, write_csv, write_json
+from .artifacts import parsing, write_csv, write_json
 from .dataset import Pair, Reviewer, ReviewDataset
 from .errors import ValidationError
 
@@ -253,6 +253,7 @@ class ReviewerKey:
 
 
 def make_author_key(last_name: str, first_name: str) -> str | None:
+    """The ``LASTNAME_F`` key of a reviewer or a parsed author; None when a part is empty."""
     last = normalize_name_part(last_name)
     first = normalize_name_part(first_name)
     if not last or not first:
@@ -263,13 +264,13 @@ def make_author_key(last_name: str, first_name: str) -> str | None:
 def build_key(reviewer: Reviewer) -> ReviewerKey:
     """Build the reviewer's matching key; an empty first name yields a
     placeholder initial flagged for manual resolution."""
+    key = make_author_key(reviewer.last_name, reviewer.first_name)
+    if key is not None:
+        return ReviewerKey(key=key)
     last = normalize_name_part(reviewer.last_name)
     if not last:
         raise ValidationError(f"reviewer {reviewer.id!r}: unusable last name")
-    first = normalize_name_part(reviewer.first_name)
-    if not first:
-        return ReviewerKey(key=f"{last}_{PLACEHOLDER_INITIAL}", placeholder=True)
-    return ReviewerKey(key=f"{last}_{first[0]}")
+    return ReviewerKey(key=f"{last}_{PLACEHOLDER_INITIAL}", placeholder=True)
 
 
 @dataclass(frozen=True)
@@ -299,17 +300,14 @@ class CitationRelation:
         return [p for p in self.pairs() if self.indicator(p) is want]
 
     def with_override(self, pair: Pair, cited: bool) -> "CitationRelation":
-        if pair not in self.cited:
-            raise ValidationError(f"override targets unknown pair {pair}")
-        merged = dict(self.overrides)
-        merged[pair] = cited
-        return replace(self, overrides=merged)
+        return self.with_overrides({pair: cited})
 
     def with_overrides(self, overrides: dict[Pair, bool]) -> "CitationRelation":
-        out = self
-        for pair, value in sorted(overrides.items()):
-            out = out.with_override(pair, value)
-        return out
+        """A copy with these manual verdicts; every pair must be in the relation."""
+        unknown = [pair for pair in overrides if pair not in self.cited]
+        if unknown:
+            raise ValidationError(f"override targets unknown pair {min(unknown)}")
+        return replace(self, overrides={**self.overrides, **overrides})
 
 
 def detect_citations(dataset: ReviewDataset, assignment: set[Pair]) -> CitationRelation:
@@ -325,6 +323,8 @@ def detect_citations(dataset: ReviewDataset, assignment: set[Pair]) -> CitationR
     by_key: dict[str, int] = {}
     for rk in keys.values():
         by_key[rk.key] = by_key.get(rk.key, 0) + 1
+    # Surnames alone matter only to reviewers with a placeholder initial.
+    placeholders = any(rk.placeholder for rk in keys.values())
 
     notes: list[str] = []
     submission_keys: dict[str, set[str]] = {}
@@ -339,13 +339,11 @@ def detect_citations(dataset: ReviewDataset, assignment: set[Pair]) -> CitationR
             warnings.simplefilter("always", ReferenceParseWarning)
             for entry in submission.reference_entries:
                 for last, initial in parse_reference_entry(entry):
-                    last_norm = normalize_name_part(last)
-                    if not last_norm:
-                        continue
-                    lasts.add(last_norm)
-                    initial_norm = normalize_name_part(initial)
-                    if initial_norm:
-                        parsed_keys.add(f"{last_norm}_{initial_norm[0]}")
+                    key = make_author_key(last, initial)
+                    if key is not None:
+                        parsed_keys.add(key)
+                    if placeholders:
+                        lasts.add(normalize_name_part(last))
         notes.extend(f"submission {sid!r}: {w.message}" for w in caught)
         submission_keys[sid] = parsed_keys
         submission_lasts[sid] = lasts
@@ -401,14 +399,12 @@ def audit_sample(
 def load_overrides_csv(path: Path | str) -> dict[Pair, bool]:
     """Read manual verdicts: columns submission_id, reviewer_id, cited in {0,1}."""
     overrides: dict[Pair, bool] = {}
-    for row in read_csv(path):
-        try:
+    with parsing(path) as source:
+        for row in source.csv():
             flag = int(row["cited"])
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"bad override row {row!r}") from exc
-        if flag not in (0, 1):
-            raise ValidationError(f"override cited must be 0 or 1, got {flag}")
-        overrides[(row["submission_id"], row["reviewer_id"])] = bool(flag)
+            if flag not in (0, 1):
+                raise ValidationError(f"override cited must be 0 or 1, got {flag}")
+            overrides[(row["submission_id"], row["reviewer_id"])] = bool(flag)
     return overrides
 
 
@@ -435,8 +431,8 @@ def load_relation(path: Path | str) -> CitationRelation:
     cited: dict[Pair, bool] = {}
     ambiguous: set[Pair] = set()
     overrides: dict[Pair, bool] = {}
-    with parsing(path):
-        payload = read_json(path)
+    with parsing(path) as source:
+        payload = source.json()
         for row in payload["pairs"]:
             pair = (row["submission_id"], row["reviewer_id"])
             cited[pair] = row["cited"]

@@ -23,7 +23,7 @@ from . import parametric as par
 from . import ranking as rnk
 from . import reporting as rpt
 from . import synthetic as syn
-from .artifacts import parsing, read_json, write_json
+from .artifacts import parsing, write_json
 from .dataset import (
     REVIEWS_FILE,
     VENUE_FILE,
@@ -132,8 +132,8 @@ def simulate(workdir, policy, seed, config_path):
     wd = _workdir(workdir)
     overrides = {}
     if config_path:
-        with parsing(config_path):
-            overrides = {**read_json(config_path)}
+        with parsing(config_path) as source:
+            overrides = {**source.json()}
     config = syn.GeneratorConfig.from_dict({**overrides, "policy": policy, "seed": seed})
     dataset, relation, truth = syn.generate(config)
     save_dataset(dataset, wd)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import parsing, read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import parsing, write_json, write_jsonl
 from .errors import ParseError, ReferentialError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -193,23 +193,13 @@ class SummaryTable:
         )
 
 
-def _build(cls, path: Path, lineno: int, obj: dict):
-    try:
-        return cls(**obj)
-    except TypeError as exc:
-        raise ParseError(f"{path.name}:{lineno}: {exc}") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"{path.name}:{lineno}: {exc}") from exc
-
-
 def load_venue_config(path: Path | str) -> VenueConfig:
-    path = Path(path)
-    with parsing(path):
-        raw = read_json(path)
+    with parsing(path) as source:
+        raw = source.json()
         try:
             policy = VenuePolicy(raw["venue_policy"])
         except (KeyError, ValueError) as exc:
-            raise ValidationError(f"{path.name}: unknown venue_policy") from exc
+            raise ValidationError("unknown venue_policy") from exc
         return VenueConfig(
             score_min=raw["score_min"],
             score_max=raw["score_max"],
@@ -222,73 +212,81 @@ def load_venue_config(path: Path | str) -> VenueConfig:
         )
 
 
+def _require_strings(record, *fields: str) -> None:
+    for name in fields:
+        value = getattr(record, name)
+        if not isinstance(value, str):
+            raise ParseError(f"{name} must be a string, not {type(value).__name__}")
+
+
+def _entries(field: str, value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(entry, str) for entry in value):
+        raise ParseError(f"{field} must be a list of strings")
+    return tuple(value)
+
+
 def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewDataset:
     """Load and validate a dataset directory.
 
-    ``config`` defaults to the directory's ``venue.json``.  Raises
-    :class:`ParseError` with a line number on malformed records,
-    :class:`ReferentialError` on dangling ids, and :class:`ValidationError`
-    on out-of-scale values.
+    ``config`` defaults to the directory's ``venue.json``.  Raises, naming the
+    file and line, :class:`ParseError` on malformed records (ids, names and
+    reference entries must be strings), :class:`ReferentialError` on dangling
+    ids, and :class:`ValidationError` on out-of-scale values.
     """
     root = Path(path)
     if config is None:
         config = load_venue_config(root / VENUE_FILE)
 
     reviewers: dict[str, Reviewer] = {}
-    rev_path = root / REVIEWERS_FILE
-    for lineno, obj in read_jsonl(rev_path):
-        reviewer = _build(Reviewer, rev_path, lineno, obj)
-        if reviewer.id in reviewers:
-            raise ValidationError(f"{rev_path.name}:{lineno}: duplicate reviewer id {reviewer.id!r}")
-        reviewers[reviewer.id] = reviewer
+    with parsing(root / REVIEWERS_FILE) as source:
+        for obj in source.jsonl():
+            reviewer = Reviewer(**obj)
+            _require_strings(reviewer, "id", "last_name", "first_name")
+            if reviewer.id in reviewers:
+                raise ValidationError(f"duplicate reviewer id {reviewer.id!r}")
+            reviewers[reviewer.id] = reviewer
 
     submissions: dict[str, Submission] = {}
-    sub_path = root / SUBMISSIONS_FILE
-    for lineno, obj in read_jsonl(sub_path):
-        if "reference_entries" in obj:
-            obj["reference_entries"] = tuple(obj["reference_entries"])
-        submission = _build(Submission, sub_path, lineno, obj)
-        if submission.id in submissions:
-            raise ValidationError(
-                f"{sub_path.name}:{lineno}: duplicate submission id {submission.id!r}"
-            )
-        submissions[submission.id] = submission
+    with parsing(root / SUBMISSIONS_FILE) as source:
+        for obj in source.jsonl():
+            if "reference_entries" in obj:
+                obj["reference_entries"] = _entries("reference_entries", obj["reference_entries"])
+            submission = Submission(**obj)
+            _require_strings(submission, "id")
+            if submission.id in submissions:
+                raise ValidationError(f"duplicate submission id {submission.id!r}")
+            submissions[submission.id] = submission
 
     ref_path = root / REFERENCES_FILE
     if ref_path.exists():
-        for lineno, obj in read_jsonl(ref_path):
-            sid = obj.get("submission_id")
-            if sid not in submissions:
-                raise ReferentialError(
-                    f"{ref_path.name}:{lineno}: unknown submission id {sid!r}"
-                )
-            if not submissions[sid].reference_entries:
-                submissions[sid] = replace(
-                    submissions[sid], reference_entries=tuple(obj.get("entries", ()))
-                )
+        with parsing(ref_path) as source:
+            for obj in source.jsonl():
+                sid = obj.get("submission_id")
+                if sid not in submissions:
+                    raise ReferentialError(f"unknown submission id {sid!r}")
+                entries = _entries("entries", obj.get("entries", []))
+                if not submissions[sid].reference_entries:
+                    submissions[sid] = replace(submissions[sid], reference_entries=entries)
 
+    # Ids are strings by now, so the membership tests reject any other id.
     reviews: list[ReviewRecord] = []
     seen_pairs: set[Pair] = set()
-    review_path = root / REVIEWS_FILE
-    for lineno, obj in read_jsonl(review_path):
-        record = _build(ReviewRecord, review_path, lineno, obj)
-        if record.submission_id not in submissions:
-            raise ReferentialError(
-                f"{review_path.name}:{lineno}: review references unknown "
-                f"submission {record.submission_id!r}"
-            )
-        if record.reviewer_id not in reviewers:
-            raise ReferentialError(
-                f"{review_path.name}:{lineno}: review references unknown "
-                f"reviewer {record.reviewer_id!r}"
-            )
-        if record.pair in seen_pairs:
-            raise ValidationError(
-                f"{review_path.name}:{lineno}: duplicate review for pair {record.pair}"
-            )
-        seen_pairs.add(record.pair)
-        _validate_scales(record, config, f"{review_path.name}:{lineno}")
-        reviews.append(record)
+    with parsing(root / REVIEWS_FILE) as source:
+        for obj in source.jsonl():
+            record = ReviewRecord(**obj)
+            if record.submission_id not in submissions:
+                raise ReferentialError(
+                    f"review references unknown submission {record.submission_id!r}"
+                )
+            if record.reviewer_id not in reviewers:
+                raise ReferentialError(
+                    f"review references unknown reviewer {record.reviewer_id!r}"
+                )
+            if record.pair in seen_pairs:
+                raise ValidationError(f"duplicate review for pair {record.pair}")
+            seen_pairs.add(record.pair)
+            _validate_scales(record, config)
+            reviews.append(record)
 
     reviews.sort(key=lambda r: r.pair)
     return ReviewDataset(
@@ -303,32 +301,28 @@ def score_off_scale(score: float, config: VenueConfig) -> str | None:
     return f"has score {score} outside [{config.score_min}, {config.score_max}]"
 
 
-def _validate_scales(record: ReviewRecord, config: VenueConfig, where: str) -> None:
+def _validate_scales(record: ReviewRecord, config: VenueConfig) -> None:
     complaint = score_off_scale(record.score, config)
     if complaint:
-        raise ValidationError(f"{where}: {record._tag()} {complaint}")
+        raise ValidationError(f"{record._tag()} {complaint}")
     lo, hi = config.expertise_scale
     if not lo <= record.sr_expertise <= hi:
         raise ValidationError(
-            f"{where}: {record._tag()} has sr_expertise {record.sr_expertise} "
-            f"outside [{lo}, {hi}]"
+            f"{record._tag()} has sr_expertise {record.sr_expertise} outside [{lo}, {hi}]"
         )
     if record.sr_confidence is not None and not lo <= record.sr_confidence <= hi:
         raise ValidationError(
-            f"{where}: {record._tag()} has sr_confidence {record.sr_confidence} "
-            f"outside [{lo}, {hi}]"
+            f"{record._tag()} has sr_confidence {record.sr_confidence} outside [{lo}, {hi}]"
         )
     if record.bid is not None and config.bid_scale is not None:
         blo, bhi = config.bid_scale
         if not blo <= record.bid <= bhi:
-            raise ValidationError(
-                f"{where}: {record._tag()} has bid {record.bid} outside [{blo}, {bhi}]"
-            )
+            raise ValidationError(f"{record._tag()} has bid {record.bid} outside [{blo}, {bhi}]")
     if record.preference_value is not None and config.preference_range is not None:
         plo, phi = config.preference_range
         if not plo <= record.preference_value <= phi:
             raise ValidationError(
-                f"{where}: {record._tag()} has preference_value {record.preference_value} "
+                f"{record._tag()} has preference_value {record.preference_value} "
                 f"outside [{plo}, {phi}]"
             )
 

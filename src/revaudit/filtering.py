@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import parsing, read_json, read_jsonl, write_csv, write_json, write_jsonl
+from .artifacts import parsing, write_csv, write_json, write_jsonl
 from .citations import CitationRelation
 from .dataset import (
     ICML_OPTIONAL_FIELDS,
@@ -234,8 +234,8 @@ def save_filter_report(report: FilterReport, path: Path | str) -> None:
 
 
 def load_filter_report(path: Path | str) -> FilterReport:
-    with parsing(path):
-        return FilterReport(**read_json(path))
+    with parsing(path) as source:
+        return FilterReport(**source.json())
 
 
 def save_exclusions_csv(dataset: ReviewDataset, path: Path | str) -> None:
@@ -273,25 +273,24 @@ def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisData
     ValidationError naming its line.
     """
     names = set(policy_covariates(config.venue_policy))
-    source = Path(path).name
     by_submission: dict[str, list[AnalysisRecord]] = {}
-    with parsing(path):
-        for lineno, obj in read_jsonl(path):
+    with parsing(path) as source:
+        for obj in source.jsonl():
             record = AnalysisRecord(**obj)
             covariates = record.covariates
             complaint = score_off_scale(record.score, config)
             if complaint:
-                raise ValidationError(f"{source}:{lineno} {complaint}")
+                raise ValidationError(f"record {complaint}")
             if covariates.keys() != names:
                 raise ValidationError(
-                    f"{source}:{lineno} has covariates {sorted(covariates)}, not the "
+                    f"record has covariates {sorted(covariates)}, not the "
                     f"{config.venue_policy.value} model's {sorted(names)}"
                 )
             # A sum is finite when every term is, unless finite terms overflow.
             if not math.isfinite(sum(covariates.values())):
                 bad = sorted(k for k, v in covariates.items() if not math.isfinite(v))
                 if bad:
-                    raise ValidationError(f"{source}:{lineno} has non-finite covariates {bad}")
+                    raise ValidationError(f"record has non-finite covariates {bad}")
             by_submission.setdefault(record.submission_id, []).append(record)
     return AnalysisDataset(
         config=config,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import parsing, read_csv, read_json, write_csv, write_json
+from .artifacts import parsing, write_csv, write_json
 from .errors import NoAnalyzableDataError, SampleSizeError, ValidationError
 from .filtering import AnalysisDataset, AnalysisRecord
 
@@ -311,7 +311,7 @@ def save_triples(triples: list[MatchedTriple], path: Path | str) -> None:
 
 
 def load_triples(path: Path | str) -> list[MatchedTriple]:
-    with parsing(path):
+    with parsing(path) as source:
         return [
             MatchedTriple(
                 submission_id=row["submission_id"],
@@ -320,7 +320,7 @@ def load_triples(path: Path | str) -> list[MatchedTriple]:
                 score_cited=float(row["score_cited"]),
                 score_uncited=float(row["score_uncited"]),
             )
-            for row in read_csv(path)
+            for row in source.csv()
         ]
 
 
@@ -329,8 +329,8 @@ def save_permutation_result(result: PermutationResult, path: Path | str) -> None
 
 
 def load_permutation_result(path: Path | str) -> PermutationResult:
-    with parsing(path):
-        raw = read_json(path)
+    with parsing(path) as source:
+        raw = source.json()
         ci = raw.get("ci95_bootstrap")
         raw["ci95_bootstrap"] = tuple(ci) if ci else None
         if raw["p_method"] not in (P_EXACT, P_MONTE_CARLO):

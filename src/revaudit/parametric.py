@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import linalg, stats
 
-from .artifacts import parsing, read_json, write_csv, write_json
+from .artifacts import parsing, write_csv, write_json
 from .dataset import VenuePolicy, policy_covariates
 from .errors import RankDeficientError, SampleSizeError, ValidationError
 from .filtering import AnalysisDataset
@@ -233,8 +233,8 @@ def save_fit(fit: FitResult, path: Path | str) -> None:
 
 
 def load_fit(path: Path | str) -> FitResult:
-    with parsing(path):
-        raw = read_json(path)
+    with parsing(path) as source:
+        raw = source.json()
         raw["ci95"] = tuple(raw["ci95"])
         return FitResult(**raw)
 

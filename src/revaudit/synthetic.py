@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import norm
 
-from .artifacts import parsing, read_json, write_json, write_jsonl
+from .artifacts import parsing, write_json, write_jsonl
 from .citations import CitationRelation, make_author_key
 from .dataset import (
     EC_COVARIATES,
@@ -665,8 +665,8 @@ def save_ground_truth(truth: GroundTruth, path: Path | str) -> None:
 def load_ground_truth(path: Path | str) -> GroundTruth:
     cited = {}
     latent = {}
-    with parsing(path):
-        payload = read_json(path)
+    with parsing(path) as source:
+        payload = source.json()
         for row in payload["pairs"]:
             pair = (row["submission_id"], row["reviewer_id"])
             cited[pair] = row["cited"]

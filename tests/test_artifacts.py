@@ -1,5 +1,6 @@
 """Canonical artifact formats: saving a loaded artifact reproduces its bytes."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,30 @@ from revaudit import parametric as par
 from revaudit import synthetic as syn
 from revaudit.dataset import VenueConfig
 from revaudit.errors import ParseError
+
+REVIEWER = {"id": "r1", "last_name": "Doe", "first_name": "Jane", "seniority": 0}
+REVIEW = {"submission_id": "s1", "reviewer_id": "r1", "score": 4, "sr_expertise": 3}
+REVIEWER_2 = {**REVIEWER, "id": "r2"}
+REVIEW_2 = {**REVIEW, "reviewer_id": "r2"}
+
+
+def lines(*records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+DATASET_FILES = {
+    "reviewers.jsonl": lines(REVIEWER, REVIEWER_2),
+    "submissions.jsonl": lines({"id": "s1"}),
+    "reviews.jsonl": lines(REVIEW),
+}
+
+
+def load_dataset_beside(path):
+    """Load the dataset directory that holds ``path``, its other files valid."""
+    for name, content in DATASET_FILES.items():
+        if not (path.parent / name).exists():
+            (path.parent / name).write_text(content)
+    return ds.load_dataset(path.parent, VenueConfig.ec_like())
 
 
 @pytest.fixture(scope="module")
@@ -73,24 +98,60 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
             "relation.json: missing key 'reviewer_id'",
         ),
         (asg.load_edits, "edits.csv", "action,submission_id\nadd,s1\n",
-         "edits.csv: missing key 'reviewer_id'"),
+         "edits.csv:2: missing key 'reviewer_id'"),
         (asg.load_edits, "edits.csv", "submission_id,reviewer_id,action\ns1,r1\n",
-         "edits.csv: wrong shape"),
+         "edits.csv:2: wrong shape"),
         (asg.load_assignment_pairs, "assignment.csv", "submission_id\ns1\n",
-         "assignment.csv: missing key 'reviewer_id'"),
+         "assignment.csv:2: missing key 'reviewer_id'"),
         (flt.load_filter_report, "filter_report.json", '{"bogus": 1}', "filter_report.json: "),
         (lambda path: flt.load_analysis_dataset(path, VenueConfig.ec_like()),
-         "analysis.jsonl", '{"bogus": 1}\n', "analysis.jsonl: "),
+         "analysis.jsonl", '{"bogus": 1}\n', "analysis.jsonl:1: "),
         (par.load_fit, "fit.json", "{}", "fit.json: missing key 'ci95'"),
-        (npar.load_triples, "triples.csv", "submission_id\ns1\n", "triples.csv: missing key"),
+        (npar.load_triples, "triples.csv", "submission_id\ns1\n", "triples.csv:2: missing key"),
         (npar.load_permutation_result, "permutation.json", "[]", "permutation.json: "),
         (syn.load_ground_truth, "ground_truth.json", '{"pairs": 3}', "ground_truth.json: "),
         (ds.load_venue_config, "venue.json", "[]", "venue.json: "),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "score": "5"}),
+         "reviews.jsonl:2: wrong shape"),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "sr_expertise": None}),
+         "reviews.jsonl:2: wrong shape"),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW, "reviewer_id": ["r2"]}),
+         "reviews.jsonl:2: wrong shape"),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "bogus": 1}),
+         "reviews.jsonl:2: wrong shape"),
+        (load_dataset_beside, "reviewers.jsonl", lines(REVIEWER, {**REVIEWER_2, "last_name": 5}),
+         "reviewers.jsonl:2: last_name must be a string"),
+        (load_dataset_beside, "reviewers.jsonl",
+         lines(REVIEWER, {**REVIEWER_2, "first_name": None}),
+         "reviewers.jsonl:2: first_name must be a string"),
+        (load_dataset_beside, "reviewers.jsonl", lines(REVIEWER, {**REVIEWER, "id": ["r2"]}),
+         "reviewers.jsonl:2: id must be a string"),
+        (load_dataset_beside, "submissions.jsonl",
+         '{"id": "s1"}\n{"id": "s2", "reference_entries": "Doe, J. Title. 2020."}\n',
+         "submissions.jsonl:2: reference_entries must be a list of strings"),
+        (load_dataset_beside, "submissions.jsonl",
+         '{"id": "s1"}\n{"id": "s2", "reference_entries": ["Doe, J. Title. 2020.", 5]}\n',
+         "submissions.jsonl:2: reference_entries must be a list of strings"),
+        (load_dataset_beside, "references.jsonl",
+         '{"submission_id": "s1", "entries": "Doe, J. Title. 2020."}\n',
+         "references.jsonl:1: entries must be a list of strings"),
+        (load_dataset_beside, "references.jsonl", '{"submission_id": ["s1"]}\n',
+         "references.jsonl:1: wrong shape"),
+        (asg.load_similarity, "similarity.csv",
+         "submission_id,reviewer_id,sim\ns1,r1,0.5\ns1,r2,high\n",
+         "similarity.csv:3: wrong shape"),
+        (cit.load_overrides_csv, "overrides.csv",
+         "submission_id,reviewer_id,cited\ns1,r1,yes\n",
+         "overrides.csv:2: wrong shape"),
     ],
     ids=[
         "relation-no-pairs", "relation-list", "relation-row-key", "edits-column",
         "edits-short-row", "assignment-column", "filter-report-key", "analysis-key",
         "fit-key", "triples-column", "permutation-list", "ground-truth-pairs", "venue-list",
+        "review-score-string", "review-expertise-null", "review-id-list", "review-extra-key",
+        "reviewer-last-name-int", "reviewer-first-name-null", "reviewer-id-list",
+        "submission-entries-string", "submission-entry-int", "references-entries-string",
+        "references-id-list", "similarity-not-a-number", "overrides-not-an-integer",
     ],
 )
 def test_wrong_shape_is_parse_error_naming_the_file(load, name, content, message, tmp_path):

@@ -163,6 +163,11 @@ def test_override_unknown_pair_rejected():
     relation = CitationRelation(cited={("s1", "r1"): False})
     with pytest.raises(ValidationError):
         relation.with_override(("s9", "r9"), True)
+    # Every pair is checked before any is applied; the first unknown one is named.
+    overrides = {("s9", "r9"): True, ("s1", "r1"): True, ("s5", "r5"): False}
+    with pytest.raises(ValidationError, match=r"unknown pair \('s5', 'r5'\)"):
+        relation.with_overrides(overrides)
+    assert relation.overrides == {}
 
 
 def test_detection_matches_brute_force_membership():

@@ -318,15 +318,19 @@ def icml_filtered(tmp_path, capsys):
     return tmp_path
 
 
-@pytest.mark.parametrize("edit, names", [
-    ({"score": 1e9}, "has score 1000000000.0 outside [1, 6]"),
-    ({"score": float("nan")}, "has score nan outside [1, 6]"),
-    ({"covariates": {"text_overlap": float("nan")}}, "non-finite covariates ['text_overlap']"),
-    ({"covariates": {"bid": float("inf")}}, "non-finite covariates ['bid']"),
-    ({"covariates": {"pref_perc": 50.0}}, "'pref_perc'"),
-], ids=["score-huge", "score-nan", "overlap-nan", "bid-inf", "extra-covariate"])
+@pytest.mark.parametrize("edit, error_type, names", [
+    ({"score": 1e9}, "ValidationError", "has score 1000000000.0 outside [1, 6]"),
+    ({"score": float("nan")}, "ValidationError", "has score nan outside [1, 6]"),
+    ({"covariates": {"text_overlap": float("nan")}}, "ValidationError",
+     "non-finite covariates ['text_overlap']"),
+    ({"covariates": {"bid": float("inf")}}, "ValidationError", "non-finite covariates ['bid']"),
+    ({"covariates": {"pref_perc": 50.0}}, "ValidationError", "'pref_perc'"),
+    ({"covariates": {"bid": None}}, "ParseError", "wrong shape"),
+    ({"score": "5"}, "ParseError", "wrong shape"),
+], ids=["score-huge", "score-nan", "overlap-nan", "bid-inf", "extra-covariate", "bid-null",
+        "score-string"])
 @pytest.mark.parametrize("mode", ["--parametric", "--nonparametric"])
-def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, names, mode):
+def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, error_type, names, mode):
     path = icml_filtered / "analysis.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     record = json.loads(lines[2])
@@ -337,11 +341,43 @@ def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, names, m
     code, _, err = run(capsys, "analyze", mode, "--seed", "5", "--workdir", str(icml_filtered))
     assert code == 1
     error = json.loads(err)["error"]
-    assert error["type"] == "ValidationError"
-    assert error["message"].startswith("analysis.jsonl:3 ")
+    assert error["type"] == error_type
+    assert error["message"].startswith("analysis.jsonl:3: ")
     assert names in error["message"]
     assert not (icml_filtered / "fit.json").exists()
     assert not (icml_filtered / "triples.csv").exists()
+
+
+@pytest.mark.parametrize("name, field, value, names", [
+    ("reviews.jsonl", "score", "5", "wrong shape"),
+    ("reviews.jsonl", "sr_expertise", None, "wrong shape"),
+    ("reviews.jsonl", "reviewer_id", ["r0001"], "wrong shape"),
+    ("reviewers.jsonl", "last_name", 5, "last_name must be a string"),
+    ("reviewers.jsonl", "first_name", None, "first_name must be a string"),
+    ("submissions.jsonl", "reference_entries", "Doe, J. Title. 2020.",
+     "reference_entries must be a list of strings"),
+    ("submissions.jsonl", "reference_entries", ["Doe, J. Title. 2020.", 5],
+     "reference_entries must be a list of strings"),
+    ("references.jsonl", "entries", "Doe, J. Title. 2020.", "entries must be a list of strings"),
+], ids=["review-score-string", "review-expertise-null", "review-id-list",
+        "reviewer-last-name-int", "reviewer-first-name-null", "submission-entries-string",
+        "submission-entry-int", "references-entries-string"])
+def test_ingest_names_the_line_of_a_wrong_typed_record(
+    simulated, capsys, name, field, value, names
+):
+    path = simulated / name
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record[field] = value
+    lines[2] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    code, _, err = run(capsys, "ingest", "--workdir", str(simulated))
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"{name}:3: ")
+    assert names in error["message"]
+    assert not (simulated / "ingest_report.json").exists()
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
