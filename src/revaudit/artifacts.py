@@ -16,8 +16,10 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
+from dataclasses import fields
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError, RevauditError
 
@@ -81,6 +83,29 @@ def parsing(path: Path | str) -> Iterator[Source]:
         raise ParseError(f"{source.where}: missing key {exc.args[0]!r}") from exc
     except (TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"{source.where}: wrong shape ({exc})") from exc
+
+
+_KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def require_types(obj: Mapping, kinds: Mapping[str, type], optional: Collection[str] = ()) -> None:
+    """Each key of ``kinds`` present in ``obj`` holds exactly that type (``true``
+    is no integer, nor is ``3.5``); one named in ``optional`` may be null."""
+    for name, value in obj.items():
+        kind = kinds.get(name)
+        if kind and type(value) is not kind and not (value is None and name in optional):
+            raise ParseError(f"{name} must be {_KIND_NAMES[kind]}, not {type(value).__name__}")
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
+
+
+def record_fields(record) -> dict:
+    """A dataclass record as a JSON object: its fields, less optional ones that are None."""
+    names = _field_names(type(record))
+    return {name: value for name in names if (value := getattr(record, name)) is not None}
 
 
 def write_json(path: Path | str, obj) -> None:

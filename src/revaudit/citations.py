@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import parsing, write_csv, write_json
+from .artifacts import parsing, require_types, write_csv, write_json
 from .dataset import Pair, Reviewer, ReviewDataset
 from .errors import ValidationError
 
@@ -436,9 +436,12 @@ def load_relation(path: Path | str) -> CitationRelation:
         for row in payload["pairs"]:
             pair = (row["submission_id"], row["reviewer_id"])
             cited[pair] = row["cited"]
+            require_types(
+                row, {"cited": bool, "ambiguous": bool, "override": bool}, ("ambiguous", "override")
+            )
             if row.get("ambiguous"):
                 ambiguous.add(pair)
-            if "override" in row:
+            if row.get("override") is not None:
                 overrides[pair] = row["override"]
         warnings = tuple(payload.get("warnings", ()))
     return CitationRelation(

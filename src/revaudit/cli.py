@@ -25,6 +25,7 @@ from . import reporting as rpt
 from . import synthetic as syn
 from .artifacts import parsing, write_json
 from .dataset import (
+    REFERENCES_FILE,
     REVIEWS_FILE,
     VENUE_FILE,
     VenuePolicy,
@@ -50,7 +51,6 @@ PERMUTATION_FILE = "permutation.json"
 RANKING_JSON_FILE = "ranking.json"
 RANKING_CSV_FILE = "ranking.csv"
 GROUND_TRUTH_FILE = "ground_truth.json"
-REFERENCES_FILE = "references.jsonl"
 INGEST_REPORT_FILE = "ingest_report.json"
 REPORT_JSON_FILE = "report.json"
 REPORT_TEXT_FILE = "report.txt"

@@ -12,12 +12,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import parsing, write_json, write_jsonl
+from .artifacts import parsing, record_fields, require_types, write_json, write_jsonl
 from .errors import ParseError, ReferentialError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -146,12 +148,17 @@ class ReviewRecord:
 
 @dataclass(frozen=True)
 class ReviewDataset:
-    """Immutable container for one venue's reviewers, submissions, and reviews."""
+    """Immutable container for one venue's reviewers, submissions, and reviews;
+    ``reviews`` is in (submission_id, reviewer_id) order, whatever the input order."""
 
     config: VenueConfig
     reviewers: dict[str, Reviewer]
     submissions: dict[str, Submission]
     reviews: tuple[ReviewRecord, ...]
+
+    def __post_init__(self):
+        ordered = sorted(self.reviews, key=attrgetter("submission_id", "reviewer_id"))
+        object.__setattr__(self, "reviews", tuple(ordered))
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -165,10 +172,7 @@ class ReviewDataset:
         return {r.pair for r in self.reviews}
 
     def reviews_by_submission(self) -> dict[str, list[ReviewRecord]]:
-        grouped: dict[str, list[ReviewRecord]] = {}
-        for record in self.reviews:
-            grouped.setdefault(record.submission_id, []).append(record)
-        return grouped
+        return {sid: list(rs) for sid, rs in groupby(self.reviews, attrgetter("submission_id"))}
 
 
 @dataclass(frozen=True)
@@ -200,23 +204,25 @@ def load_venue_config(path: Path | str) -> VenueConfig:
             policy = VenuePolicy(raw["venue_policy"])
         except (KeyError, ValueError) as exc:
             raise ValidationError("unknown venue_policy") from exc
+        scales = {
+            name: tuple(raw[name])
+            for name in ("expertise_scale", "bid_scale", "preference_range")
+            if name in raw
+        }
         return VenueConfig(
-            score_min=raw["score_min"],
-            score_max=raw["score_max"],
-            venue_policy=policy,
-            expertise_scale=tuple(raw.get("expertise_scale", (1, 4))),
-            bid_scale=tuple(raw["bid_scale"]) if "bid_scale" in raw else None,
-            preference_range=(
-                tuple(raw["preference_range"]) if "preference_range" in raw else None
-            ),
+            score_min=raw["score_min"], score_max=raw["score_max"], venue_policy=policy, **scales
         )
 
 
-def _require_strings(record, *fields: str) -> None:
-    for name in fields:
-        value = getattr(record, name)
-        if not isinstance(value, str):
-            raise ParseError(f"{name} must be a string, not {type(value).__name__}")
+# The exact type of each record field that load_dataset checks.
+_REVIEWER_TYPES = {
+    "id": str, "last_name": str, "first_name": str, "seniority": int, "has_text_profile": bool,
+}
+_SUBMISSION_TYPES = {"id": str, "withdrawn": bool}
+_REVIEW_TYPES = {
+    "score": int, "sr_expertise": int, "sr_confidence": int, "bid": int,
+    "preference_value": int, "missing_citation_flag": bool, "exclusion_adjudicated": bool,
+}
 
 
 def _entries(field: str, value) -> tuple[str, ...]:
@@ -230,8 +236,9 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
 
     ``config`` defaults to the directory's ``venue.json``.  Raises, naming the
     file and line, :class:`ParseError` on malformed records (ids, names and
-    reference entries must be strings), :class:`ReferentialError` on dangling
-    ids, and :class:`ValidationError` on out-of-scale values.
+    reference entries must be strings, flags booleans, scores and scale
+    values integers), :class:`ReferentialError` on dangling ids, and
+    :class:`ValidationError` on out-of-scale values.
     """
     root = Path(path)
     if config is None:
@@ -241,7 +248,7 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
     with parsing(root / REVIEWERS_FILE) as source:
         for obj in source.jsonl():
             reviewer = Reviewer(**obj)
-            _require_strings(reviewer, "id", "last_name", "first_name")
+            require_types(obj, _REVIEWER_TYPES)
             if reviewer.id in reviewers:
                 raise ValidationError(f"duplicate reviewer id {reviewer.id!r}")
             reviewers[reviewer.id] = reviewer
@@ -252,7 +259,7 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
             if "reference_entries" in obj:
                 obj["reference_entries"] = _entries("reference_entries", obj["reference_entries"])
             submission = Submission(**obj)
-            _require_strings(submission, "id")
+            require_types(obj, _SUBMISSION_TYPES)
             if submission.id in submissions:
                 raise ValidationError(f"duplicate submission id {submission.id!r}")
             submissions[submission.id] = submission
@@ -286,9 +293,11 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
                 raise ValidationError(f"duplicate review for pair {record.pair}")
             seen_pairs.add(record.pair)
             _validate_scales(record, config)
+            # The range checks reject a string score as a wrong shape; this
+            # rejects what compares like a number: true, 3.5.
+            require_types(obj, _REVIEW_TYPES, ("sr_confidence", "bid", "preference_value"))
             reviews.append(record)
 
-    reviews.sort(key=lambda r: r.pair)
     return ReviewDataset(
         config=config, reviewers=reviewers, submissions=submissions, reviews=tuple(reviews)
     )
@@ -327,70 +336,18 @@ def _validate_scales(record: ReviewRecord, config: VenueConfig) -> None:
             )
 
 
-def _reviewer_dict(r: Reviewer) -> dict:
-    return {
-        "id": r.id,
-        "last_name": r.last_name,
-        "first_name": r.first_name,
-        "seniority": r.seniority,
-        "has_text_profile": r.has_text_profile,
-    }
-
-
-def _submission_dict(s: Submission) -> dict:
-    return {
-        "id": s.id,
-        "reference_entries": list(s.reference_entries),
-        "withdrawn": s.withdrawn,
-    }
-
-
-def _review_dict(r: ReviewRecord) -> dict:
-    obj = {
-        "submission_id": r.submission_id,
-        "reviewer_id": r.reviewer_id,
-        "score": r.score,
-        "sr_expertise": r.sr_expertise,
-        "missing_citation_flag": r.missing_citation_flag,
-        "exclusion_adjudicated": r.exclusion_adjudicated,
-    }
-    for name in ("sr_confidence", "text_overlap", "bid", "preference_value"):
-        value = getattr(r, name)
-        if value is not None:
-            obj[name] = value
-    return obj
-
-
-def venue_config_dict(config: VenueConfig) -> dict:
-    obj = {
-        "score_min": config.score_min,
-        "score_max": config.score_max,
-        "venue_policy": config.venue_policy.value,
-        "expertise_scale": list(config.expertise_scale),
-    }
-    if config.bid_scale is not None:
-        obj["bid_scale"] = list(config.bid_scale)
-    if config.preference_range is not None:
-        obj["preference_range"] = list(config.preference_range)
-    return obj
-
-
 def save_dataset(dataset: ReviewDataset, path: Path | str) -> None:
     """Write the canonical serialization; ``load_dataset`` round-trips it byte-identically."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    write_json(root / VENUE_FILE, venue_config_dict(dataset.config))
+    write_json(root / VENUE_FILE, record_fields(dataset.config))
     write_jsonl(
-        root / REVIEWERS_FILE, (_reviewer_dict(r) for _, r in sorted(dataset.reviewers.items()))
+        root / REVIEWERS_FILE, (record_fields(r) for _, r in sorted(dataset.reviewers.items()))
     )
     write_jsonl(
-        root / SUBMISSIONS_FILE,
-        (_submission_dict(s) for _, s in sorted(dataset.submissions.items())),
+        root / SUBMISSIONS_FILE, (record_fields(s) for _, s in sorted(dataset.submissions.items()))
     )
-    write_jsonl(
-        root / REVIEWS_FILE,
-        (_review_dict(r) for r in sorted(dataset.reviews, key=lambda r: r.pair)),
-    )
+    write_jsonl(root / REVIEWS_FILE, map(record_fields, dataset.reviews))
 
 
 def ec_preference_missing(value: int | None) -> bool:
@@ -472,11 +429,9 @@ def summarize(dataset: ReviewDataset, relation: "CitationRelation") -> SummaryTa
     """Headline counts over non-withdrawn submissions and the citation relation."""
     active = dataset.active_submissions()
     by_submission = dataset.reviews_by_submission()
-    n_cited = 0
-    for submission in active:
-        records = by_submission.get(submission.id, [])
-        if any(relation.indicator(r.pair) for r in records):
-            n_cited += 1
+    n_cited = sum(
+        any(relation.indicator(r.pair) for r in by_submission.get(s.id, ())) for s in active
+    )
     fraction = n_cited / len(active) if active else 0.0
     return SummaryTable(
         n_reviewers=len(dataset.reviewers),

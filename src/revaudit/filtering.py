@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import compress, groupby
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import parsing, write_csv, write_json, write_jsonl
+from .artifacts import parsing, record_fields, require_types, write_csv, write_json, write_jsonl
 from .citations import CitationRelation
 from .dataset import (
     ICML_OPTIONAL_FIELDS,
@@ -76,28 +79,58 @@ class FilterReport:
         return asdict(self)
 
 
-def _both_strata(positions: list[int], cited: list[bool]) -> bool:
-    """At least one cited and one uncited review (hence at least two reviews)."""
-    n_cited = sum(1 for i in positions if cited[i])
-    return 0 < n_cited < len(positions)
+class _Screen(NamedTuple):
+    """The filtering rules as boolean masks over ``dataset.reviews``."""
+
+    cited: np.ndarray
+    qualifying: np.ndarray  # active submission with both strata among all its reviews
+    variables: tuple[str, ...]  # the venue's missing-value variables
+    missing: np.ndarray  # one column per variable
+    kept: np.ndarray  # after the missing-value drop, re-check and exclusion
+    dropped_missing: int
+    excluded: list[str]
 
 
-def _eligible(dataset: ReviewDataset, cited: list[bool]) -> dict[str, list[int]]:
-    """Positions in ``dataset.reviews`` of the reviews of each active
-    submission that has both strata, keyed by submission id."""
-    by_submission: dict[str, list[int]] = {}
-    for i, record in enumerate(dataset.reviews):
-        by_submission.setdefault(record.submission_id, []).append(i)
-    eligible = {}
-    for submission in dataset.active_submissions():
-        positions = by_submission.get(submission.id, [])
-        if _both_strata(positions, cited):
-            eligible[submission.id] = positions
-    return eligible
+def _screen(dataset: ReviewDataset, relation: CitationRelation) -> _Screen:
+    reviews = dataset.reviews
+    # Reviews are in pair order, so the codes number submission ids in order.
+    code_of: dict[str, int] = {}
+    codes = np.array(
+        [code_of.setdefault(r.submission_id, len(code_of)) for r in reviews], dtype=np.intp
+    )
+    cited = np.array([relation.indicator(r.pair) for r in reviews], dtype=bool)
 
+    def per_submission(rows: np.ndarray) -> np.ndarray:
+        return np.bincount(codes[rows], minlength=len(code_of))
 
-def _cited(dataset: ReviewDataset, relation: CitationRelation) -> list[bool]:
-    return [relation.indicator(record.pair) for record in dataset.reviews]
+    def both_strata(rows: np.ndarray) -> np.ndarray:
+        """``rows`` of submissions with a cited and an uncited review among them."""
+        n_rows, n_cited = per_submission(rows), per_submission(rows & cited)
+        return rows & ((0 < n_cited) & (n_cited < n_rows))[codes]
+
+    submissions = dataset.submissions
+    active = np.array(
+        [sid in submissions and not submissions[sid].withdrawn for sid in code_of], dtype=bool
+    )
+    qualifying = both_strata(active[codes])
+    icml = dataset.config.venue_policy == VenuePolicy.ICML_LIKE
+    if icml:
+        variables = ICML_OPTIONAL_FIELDS
+        flags = [[getattr(r, name) is None for r in reviews] for name in variables]
+    else:
+        variables = ("preference_value",)
+        flags = [[ec_preference_missing(r.preference_value) for r in reviews]]
+    missing = np.array(flags, dtype=bool).T
+    # ICML-like venues drop a pair with a missing value; EC-like ones encode it.
+    dropped = qualifying & missing.any(axis=1) if icml else np.zeros_like(qualifying)
+    kept = both_strata(qualifying & ~dropped)
+    # Exclusion looks at every review of a submission, dropped ones included.
+    adjudicated = np.array([r.exclusion_adjudicated for r in reviews], dtype=bool)
+    excluded = (per_submission(adjudicated) > 0) & (per_submission(kept) > 0)
+    return _Screen(
+        cited, qualifying, variables, missing, kept & ~excluded[codes], int(dropped.sum()),
+        list(compress(code_of, excluded.tolist())),
+    )
 
 
 def filter_dataset(
@@ -114,65 +147,28 @@ def filter_dataset(
     pair scores (e.g. to a generator's latent channel) without touching the
     stored dataset.
     """
-    reviews = dataset.reviews
-    matrix = covariate_matrix(dataset)
-    complete = (~np.isnan(matrix).any(axis=1)).tolist()
-    rows = matrix.tolist()
-    cited = _cited(dataset, relation)
-    eligible = _eligible(dataset, cited)
-    # Exclusion looks at every review, including those the missing-value
-    # policy drops below, so collect adjudicated submissions first.
-    adjudicated = {
-        sid
-        for sid, positions in eligible.items()
-        if any(reviews[i].exclusion_adjudicated for i in positions)
-    }
-
-    dropped_missing = 0
-    if dataset.config.venue_policy == VenuePolicy.ICML_LIKE:
-        recheck: dict[str, list[int]] = {}
-        for sid, positions in eligible.items():
-            kept = [i for i in positions if complete[i]]
-            dropped_missing += len(positions) - len(kept)
-            if _both_strata(kept, cited):
-                recheck[sid] = kept
-        eligible = recheck
-
-    excluded = sorted(adjudicated.intersection(eligible))
-    for sid in excluded:
-        del eligible[sid]
-
-    if not eligible:
+    screen = _screen(dataset, relation)
+    if not screen.kept.any():
         raise NoAnalyzableDataError(
             "no analyzable data: no submission retains both cited and uncited reviews"
         )
 
     names = policy_covariates(dataset.config.venue_policy)
-    out: dict[str, tuple[AnalysisRecord, ...]] = {}
-    for sid in sorted(eligible):
-        records = []
-        for i in sorted(eligible[sid], key=lambda i: reviews[i].reviewer_id):
-            record = reviews[i]
-            pair = (sid, record.reviewer_id)
-            if not complete[i]:
-                raise ValidationError(f"incomplete covariates survived filtering: {pair}")
-            score = float(record.score if scores is None else scores[pair])
-            records.append(
-                AnalysisRecord(
-                    submission_id=sid,
-                    reviewer_id=record.reviewer_id,
-                    score=score,
-                    cited=cited[i],
-                    covariates=dict(zip(names, rows[i])),
-                )
-            )
-        out[sid] = tuple(records)
+    kept = np.flatnonzero(screen.kept)
+    records = []
+    for i, cited, row in zip(
+        kept.tolist(), screen.cited[kept].tolist(), covariate_matrix(dataset)[kept].tolist()
+    ):
+        review = dataset.reviews[i]
+        score = float(review.score if scores is None else scores[review.pair])
+        records.append(AnalysisRecord(*review.pair, score, cited, dict(zip(names, row))))
+    out = {sid: tuple(rs) for sid, rs in groupby(records, attrgetter("submission_id"))}
 
     report = FilterReport(
         eligible_submissions=len(out),
-        dropped_missing=dropped_missing,
-        excluded_submissions=excluded,
-        retained_pairs=sum(len(v) for v in out.values()),
+        dropped_missing=screen.dropped_missing,
+        excluded_submissions=screen.excluded,
+        retained_pairs=len(kept),
     )
     return AnalysisDataset(config=dataset.config, by_submission=out), report
 
@@ -199,33 +195,12 @@ class MissingnessReport:
 def missingness_report(dataset: ReviewDataset, relation: CitationRelation) -> MissingnessReport:
     """Per-variable missing counts among pairs that qualify for analysis
     (both strata present, before any filtering)."""
-    policy = dataset.config.venue_policy
-    qualifying = [
-        dataset.reviews[i]
-        for positions in _eligible(dataset, _cited(dataset, relation)).values()
-        for i in positions
-    ]
-
-    if policy == VenuePolicy.ICML_LIKE:
-        variables = ICML_OPTIONAL_FIELDS
-        missing = {
-            name: sum(1 for r in qualifying if getattr(r, name) is None) for name in variables
-        }
-        any_missing = sum(
-            1 for r in qualifying if any(getattr(r, name) is None for name in variables)
-        )
-    else:
-        missing = {
-            "preference_value": sum(
-                1 for r in qualifying if ec_preference_missing(r.preference_value)
-            )
-        }
-        any_missing = missing["preference_value"]
-
+    screen = _screen(dataset, relation)
+    missing = screen.missing[screen.qualifying]
     return MissingnessReport(
-        qualifying_pairs=len(qualifying),
-        pairs_with_missing=any_missing,
-        per_variable=missing,
+        qualifying_pairs=len(missing),
+        pairs_with_missing=int(missing.any(axis=1).sum()),
+        per_variable=dict(zip(screen.variables, missing.sum(axis=0).tolist())),
     )
 
 
@@ -240,25 +215,15 @@ def load_filter_report(path: Path | str) -> FilterReport:
 
 def save_exclusions_csv(dataset: ReviewDataset, path: Path | str) -> None:
     """Audit trail of adjudicated pairs driving submission exclusion."""
-    rows = sorted(r.pair for r in dataset.reviews if r.exclusion_adjudicated)
+    rows = [r.pair for r in dataset.reviews if r.exclusion_adjudicated]
     write_csv(path, ["submission_id", "reviewer_id"], rows)
-
-
-def _analysis_record_dict(record: AnalysisRecord) -> dict:
-    return {
-        "submission_id": record.submission_id,
-        "reviewer_id": record.reviewer_id,
-        "score": record.score,
-        "cited": record.cited,
-        "covariates": record.covariates,
-    }
 
 
 def save_analysis_dataset(analysis: AnalysisDataset, path: Path | str) -> None:
     write_jsonl(
         path,
         (
-            _analysis_record_dict(record)
+            record_fields(record)
             for sid in analysis.submissions()
             for record in analysis.by_submission[sid]
         ),
@@ -277,6 +242,7 @@ def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisData
     with parsing(path) as source:
         for obj in source.jsonl():
             record = AnalysisRecord(**obj)
+            require_types(obj, {"cited": bool})
             covariates = record.covariates
             complaint = score_off_scale(record.score, config)
             if complaint:

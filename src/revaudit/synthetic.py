@@ -18,7 +18,6 @@ and deliberate key collisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -467,7 +466,6 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
         ReviewRecord(score=score, **kwargs)
         for kwargs, score in zip(fields, observed.ravel().tolist())
     ]
-    final_records.sort(key=attrgetter("submission_id", "reviewer_id"))
 
     pairs = [(kwargs["submission_id"], kwargs["reviewer_id"]) for kwargs in fields]
     cited_map: dict[Pair, bool] = dict(zip(pairs, cited.ravel().tolist()))

@@ -44,7 +44,7 @@ def build_dataset(config, reviewers, submissions, reviews):
         config=config,
         reviewers={r.id: r for r in reviewers},
         submissions={s.id: s for s in submissions},
-        reviews=tuple(sorted(reviews, key=lambda r: r.pair)),
+        reviews=tuple(reviews),
     )
 
 

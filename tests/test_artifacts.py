@@ -143,6 +143,42 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
         (cit.load_overrides_csv, "overrides.csv",
          "submission_id,reviewer_id,cited\ns1,r1,yes\n",
          "overrides.csv:2: wrong shape"),
+        (load_dataset_beside, "submissions.jsonl",
+         lines({"id": "s1"}, {"id": "s2", "withdrawn": "false"}),
+         "submissions.jsonl:2: withdrawn must be a boolean, not str"),
+        (load_dataset_beside, "reviewers.jsonl",
+         lines(REVIEWER, {**REVIEWER_2, "has_text_profile": "no"}),
+         "reviewers.jsonl:2: has_text_profile must be a boolean, not str"),
+        (load_dataset_beside, "reviewers.jsonl", lines(REVIEWER, {**REVIEWER_2, "seniority": True}),
+         "reviewers.jsonl:2: seniority must be an integer, not bool"),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "score": 3.5}),
+         "reviews.jsonl:2: score must be an integer, not float"),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "sr_expertise": True}),
+         "reviews.jsonl:2: sr_expertise must be an integer, not bool"),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "sr_confidence": 2.5}),
+         "reviews.jsonl:2: sr_confidence must be an integer, not float"),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "bid": True}),
+         "reviews.jsonl:2: bid must be an integer, not bool"),
+        (load_dataset_beside, "reviews.jsonl",
+         lines(REVIEW, {**REVIEW_2, "preference_value": 10.5}),
+         "reviews.jsonl:2: preference_value must be an integer, not float"),
+        (load_dataset_beside, "reviews.jsonl",
+         lines(REVIEW, {**REVIEW_2, "missing_citation_flag": "no"}),
+         "reviews.jsonl:2: missing_citation_flag must be a boolean, not str"),
+        (load_dataset_beside, "reviews.jsonl",
+         lines(REVIEW, {**REVIEW_2, "missing_citation_flag": True, "exclusion_adjudicated": 1}),
+         "reviews.jsonl:2: exclusion_adjudicated must be a boolean, not int"),
+        (cit.load_relation, "relation.json",
+         '{"pairs": [{"submission_id": "s1", "reviewer_id": "r1", "cited": "false"}]}',
+         "relation.json: cited must be a boolean, not str"),
+        (cit.load_relation, "relation.json",
+         '{"pairs": [{"submission_id": "s1", "reviewer_id": "r1", "cited": false, '
+         '"override": 1}]}',
+         "relation.json: override must be a boolean, not int"),
+        (lambda path: flt.load_analysis_dataset(path, VenueConfig.ec_like()), "analysis.jsonl",
+         lines({"submission_id": "s1", "reviewer_id": "r1", "score": 4.0, "cited": "false",
+                "covariates": {}}),
+         "analysis.jsonl:1: cited must be a boolean, not str"),
     ],
     ids=[
         "relation-no-pairs", "relation-list", "relation-row-key", "edits-column",
@@ -152,6 +188,11 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
         "reviewer-last-name-int", "reviewer-first-name-null", "reviewer-id-list",
         "submission-entries-string", "submission-entry-int", "references-entries-string",
         "references-id-list", "similarity-not-a-number", "overrides-not-an-integer",
+        "submission-withdrawn-string", "reviewer-text-profile-string", "reviewer-seniority-bool",
+        "review-score-fraction", "review-expertise-bool", "review-confidence-fraction",
+        "review-bid-bool", "review-preference-fraction", "review-flag-string",
+        "review-adjudicated-int", "relation-cited-string", "relation-override-int",
+        "analysis-cited-string",
     ],
 )
 def test_wrong_shape_is_parse_error_naming_the_file(load, name, content, message, tmp_path):

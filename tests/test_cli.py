@@ -327,8 +327,9 @@ def icml_filtered(tmp_path, capsys):
     ({"covariates": {"pref_perc": 50.0}}, "ValidationError", "'pref_perc'"),
     ({"covariates": {"bid": None}}, "ParseError", "wrong shape"),
     ({"score": "5"}, "ParseError", "wrong shape"),
+    ({"cited": "false"}, "ParseError", "cited must be a boolean"),
 ], ids=["score-huge", "score-nan", "overlap-nan", "bid-inf", "extra-covariate", "bid-null",
-        "score-string"])
+        "score-string", "cited-string"])
 @pytest.mark.parametrize("mode", ["--parametric", "--nonparametric"])
 def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, error_type, names, mode):
     path = icml_filtered / "analysis.jsonl"
@@ -359,9 +360,18 @@ def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, error_ty
     ("submissions.jsonl", "reference_entries", ["Doe, J. Title. 2020.", 5],
      "reference_entries must be a list of strings"),
     ("references.jsonl", "entries", "Doe, J. Title. 2020.", "entries must be a list of strings"),
+    ("submissions.jsonl", "withdrawn", "false", "withdrawn must be a boolean"),
+    ("reviews.jsonl", "score", 3.5, "score must be an integer"),
+    ("reviews.jsonl", "sr_expertise", True, "sr_expertise must be an integer"),
+    ("reviews.jsonl", "preference_value", 10.5, "preference_value must be an integer"),
+    ("reviews.jsonl", "missing_citation_flag", "no", "missing_citation_flag must be a boolean"),
+    ("reviewers.jsonl", "seniority", True, "seniority must be an integer"),
+    ("reviewers.jsonl", "has_text_profile", "no", "has_text_profile must be a boolean"),
 ], ids=["review-score-string", "review-expertise-null", "review-id-list",
         "reviewer-last-name-int", "reviewer-first-name-null", "submission-entries-string",
-        "submission-entry-int", "references-entries-string"])
+        "submission-entry-int", "references-entries-string", "submission-withdrawn-string",
+        "review-score-fraction", "review-expertise-bool", "review-preference-fraction",
+        "review-flag-string", "reviewer-seniority-bool", "reviewer-text-profile-string"])
 def test_ingest_names_the_line_of_a_wrong_typed_record(
     simulated, capsys, name, field, value, names
 ):

@@ -115,6 +115,26 @@ def test_synthetic_dataset_round_trips_bit_identically(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_reviews_are_held_in_pair_order(tmp_path):
+    dataset, _, _ = generate(GeneratorConfig.icml_like(n_submissions=20, seed=5))
+    shuffled = list(dataset.reviews)
+    np.random.default_rng(0).shuffle(shuffled)
+    assert shuffled != list(dataset.reviews)
+    rebuilt = ReviewDataset(
+        config=dataset.config, reviewers=dataset.reviewers,
+        submissions=dataset.submissions, reviews=tuple(shuffled),
+    )
+    pairs = [r.pair for r in rebuilt.reviews]
+    assert pairs == sorted(pairs)
+    assert rebuilt.reviews == dataset.reviews
+    save_dataset(dataset, tmp_path / "sorted")
+    save_dataset(rebuilt, tmp_path / "shuffled")
+    for name in ("venue.json", "reviewers.jsonl", "submissions.jsonl", "reviews.jsonl"):
+        assert (tmp_path / "sorted" / name).read_bytes() == (
+            tmp_path / "shuffled" / name
+        ).read_bytes()
+
+
 def test_referential_integrity_of_generated_data():
     config = GeneratorConfig.icml_like(n_submissions=30, seed=1, render_references=False)
     dataset, _, _ = generate(config)

@@ -3,6 +3,7 @@
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import build_dataset, relation_for, review, reviewer, submission
@@ -307,3 +308,103 @@ def test_integer_text_overlap_is_written_as_float(tmp_path):
     lines = out.read_text().splitlines()
     assert '"text_overlap":1.0' in lines[0]
     assert '"text_overlap":0.0' in lines[1]
+
+
+# --- one eligibility pass ----------------------------------------------------
+
+@pytest.mark.parametrize("config", [VenueConfig.ec_like(), VenueConfig.icml_like()],
+                         ids=["ec", "icml"])
+@pytest.mark.parametrize("table", ["no-reviews", "all-withdrawn", "unknown-submission"])
+def test_a_table_with_nothing_active_raises_and_reports_zeros(config, table):
+    reviewers = [reviewer("r1"), reviewer("r2")]
+    reviews = [] if table == "no-reviews" else [
+        review("s1", "r1", 4, sr_expertise=3),
+        review("s1", "r2", 3, sr_expertise=2),
+    ]
+    subs = {
+        "no-reviews": [submission("s1")],
+        "all-withdrawn": [submission("s1", withdrawn=True)],
+        "unknown-submission": [submission("s2")],  # s1 is not in the table's submissions
+    }[table]
+    dataset = build_dataset(config, reviewers, subs, reviews)
+    relation = relation_for(dataset, {("s1", "r1")})
+    with pytest.raises(NoAnalyzableDataError):
+        filter_dataset(dataset, relation)
+    table = missingness_report(dataset, relation)
+    assert (table.qualifying_pairs, table.pairs_with_missing) == (0, 0)
+    assert set(table.per_variable.values()) == {0}
+    assert all(type(v) is int for v in table.per_variable.values())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_missingness_counts_the_pairs_that_filtering_drops(seed):
+    config = GeneratorConfig.icml_like(
+        n_submissions=120, seed=seed, render_references=False,
+        missingness={"sr_confidence": 0.1, "text_overlap": 0.15, "bid": 0.2},
+    )
+    dataset, relation, _ = generate(config)
+    _, report = filter_dataset(dataset, relation)
+    table = missingness_report(dataset, relation)
+    assert report.dropped_missing > 0
+    assert table.pairs_with_missing == report.dropped_missing
+
+
+def reference_filter(dataset, relation):
+    """The filtering rules, one submission at a time, as the module docstring states them."""
+    icml = dataset.config.venue_policy == VenuePolicy.ICML_LIKE
+    optional = ("sr_confidence", "text_overlap", "bid")
+
+    def both_strata(records):
+        n_cited = sum(relation.indicator(r.pair) for r in records)
+        return 0 < n_cited < len(records)
+
+    kept, dropped, excluded = {}, 0, []
+    for sid, records in sorted(dataset.reviews_by_submission().items()):
+        if sid not in dataset.submissions or dataset.submissions[sid].withdrawn:
+            continue
+        if not both_strata(records):
+            continue
+        complete = records
+        if icml:
+            complete = [r for r in records if all(getattr(r, n) is not None for n in optional)]
+            dropped += len(records) - len(complete)
+            if not both_strata(complete):
+                continue
+        if any(r.exclusion_adjudicated for r in records):
+            excluded.append(sid)
+            continue
+        kept[sid] = [r.reviewer_id for r in complete]
+    return kept, dropped, excluded
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_masks_follow_the_per_submission_rules(seed):
+    rng = np.random.default_rng(seed)
+    config = VenueConfig.icml_like() if seed % 2 else VenueConfig.ec_like()
+    reviewers = [reviewer(f"r{i}") for i in range(6)]
+    subs = [submission(f"s{i:02d}", withdrawn=rng.random() < 0.1) for i in range(40)]
+    reviews = []
+    for i in range(42):  # s40 and s41 are not among the submissions
+        for rid in rng.choice(6, size=rng.integers(0, 5), replace=False):
+            flagged = rng.random() < 0.1
+            optional = {
+                name: value for name, value in
+                (("sr_confidence", 2), ("text_overlap", 0.5), ("bid", 3), ("preference_value", 7))
+                if rng.random() > 0.15
+            }
+            reviews.append(review(
+                f"s{i:02d}", f"r{rid}", int(rng.integers(1, 6)), sr_expertise=2,
+                missing_citation_flag=flagged,
+                exclusion_adjudicated=flagged and rng.random() < 0.5, **optional,
+            ))
+    rng.shuffle(reviews)
+    dataset = build_dataset(config, reviewers, subs, reviews)
+    relation = relation_for(dataset, {r.pair for r in reviews if rng.random() < 0.4})
+    kept, dropped, excluded = reference_filter(dataset, relation)
+    assert kept, "the draw should leave something to analyze"
+    analysis, report = filter_dataset(dataset, relation)
+    assert {sid: [r.reviewer_id for r in records]
+            for sid, records in analysis.by_submission.items()} == kept
+    assert list(analysis.by_submission) == sorted(kept)
+    assert (report.dropped_missing, report.excluded_submissions) == (dropped, excluded)
+    assert report.retained_pairs == sum(map(len, kept.values()))
