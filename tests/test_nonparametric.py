@@ -4,10 +4,15 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import analysis_dataset, icml_record
+from matching_oracle import oracle_match
 from permutation_oracle import exact_permutation_p
+from revaudit import synthetic as syn
 from revaudit.dataset import VenueConfig
+from revaudit.filtering import filter_dataset
 from revaudit.errors import NoAnalyzableDataError, SampleSizeError
 from revaudit.nonparametric import (
     MatchedTriple,
@@ -168,6 +173,57 @@ def test_match_requires_matching_covariates():
     ]
     with pytest.raises(ValidationError, match="covariate"):
         match(analysis_dataset(config, records))
+
+
+# Coarse covariates: small domains, so most pairs are compatible and ties abound.
+_reviewer = st.fixed_dictionaries({
+    "cited": st.booleans(),
+    "sr_expertise": st.integers(1, 2),
+    "sr_confidence": st.integers(1, 2),
+    "text_overlap": st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5]),
+    "bid": st.integers(2, 5),
+    "seniority": st.integers(0, 1),
+})
+
+
+@st.composite
+def _submissions(draw):
+    """Up to three submissions of up to 7 cited and 7 uncited reviewers, with
+    ids in random order and a random record order."""
+    records = []
+    for s in range(draw(st.integers(1, 3))):
+        cited = draw(st.lists(_reviewer.map(lambda r: {**r, "cited": True}), max_size=7))
+        uncited = draw(st.lists(_reviewer.map(lambda r: {**r, "cited": False}), max_size=7))
+        reviewers = cited + uncited
+        ids = draw(st.permutations(range(len(reviewers))))
+        for rid, r in zip(ids, reviewers):
+            records.append(icml_record(
+                f"s{s}", f"r{rid:02d}", score=1 + rid % 6, **r,
+            ))
+    return draw(st.permutations(records))
+
+
+@given(records=_submissions(), tolerance=st.sampled_from([0.0, 0.1, 0.3]))
+@settings(max_examples=300, deadline=None)
+def test_match_equals_the_oracle_triple_for_triple(records, tolerance):
+    analysis = analysis_dataset(VenueConfig.icml_like(), records)
+    assert match(analysis, tolerance) == oracle_match(analysis, tolerance)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("tolerance", [0.02, 0.05, 0.1, 0.3])
+def test_match_equals_the_oracle_on_generated_venues(seed, tolerance):
+    config = syn.GeneratorConfig.icml_like(
+        n_submissions=200, reviewers_per_paper=6, render_references=False,
+        expertise_weights=(0.02, 0.08, 0.45, 0.45), confidence_weights=(0.05, 0.1, 0.45, 0.4),
+        text_overlap_sd=0.05, bid_weights=(0.1, 0.6, 0.3), seniority_rate=0.8,
+        citation_prevalence=0.45, seed=seed,
+    )
+    dataset, relation, _ = syn.generate(config)
+    analysis, _ = filter_dataset(dataset, relation)
+    triples = match(analysis, tolerance)
+    assert triples == oracle_match(analysis, tolerance)
+    assert len(triples) > 20
 
 
 def test_triples_csv_round_trip(tmp_path):
