@@ -85,15 +85,21 @@ def parsing(path: Path | str) -> Iterator[Source]:
         raise ParseError(f"{source.where}: wrong shape ({exc})") from exc
 
 
-_KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 
 
 def require_types(obj: Mapping, kinds: Mapping[str, type], optional: Collection[str] = ()) -> None:
     """Each key of ``kinds`` present in ``obj`` holds exactly that type (``true``
-    is no integer, nor is ``3.5``); one named in ``optional`` may be null."""
+    is no integer, nor is ``3.5``); ``float`` means any number, ``3`` included,
+    but not ``true``.  A key named in ``optional`` may be null."""
     for name, value in obj.items():
         kind = kinds.get(name)
-        if kind and type(value) is not kind and not (value is None and name in optional):
+        if (
+            kind
+            and type(value) is not kind
+            and not (kind is float and type(value) is int)
+            and not (value is None and name in optional)
+        ):
             raise ParseError(f"{name} must be {_KIND_NAMES[kind]}, not {type(value).__name__}")
 
 

@@ -198,17 +198,22 @@ class SummaryTable:
 
 
 def load_venue_config(path: Path | str) -> VenueConfig:
+    """Read ``venue.json``; the score bounds must be integers and each scale
+    present a list of two integers, else a ParseError names the field."""
     with parsing(path) as source:
         raw = source.json()
         try:
             policy = VenuePolicy(raw["venue_policy"])
         except (KeyError, ValueError) as exc:
             raise ValidationError("unknown venue_policy") from exc
-        scales = {
-            name: tuple(raw[name])
-            for name in ("expertise_scale", "bid_scale", "preference_range")
-            if name in raw
-        }
+        require_types(raw, {"score_min": int, "score_max": int})
+        scales = {}
+        for name in ("expertise_scale", "bid_scale", "preference_range"):
+            if name in raw:
+                scale = raw[name]
+                if type(scale) is not list or [type(v) for v in scale] != [int, int]:
+                    raise ParseError(f"{name} must be a list of two integers")
+                scales[name] = tuple(scale)
         return VenueConfig(
             score_min=raw["score_min"], score_max=raw["score_max"], venue_policy=policy, **scales
         )
@@ -220,9 +225,10 @@ _REVIEWER_TYPES = {
 }
 _SUBMISSION_TYPES = {"id": str, "withdrawn": bool}
 _REVIEW_TYPES = {
-    "score": int, "sr_expertise": int, "sr_confidence": int, "bid": int,
+    "score": int, "sr_expertise": int, "sr_confidence": int, "text_overlap": float, "bid": int,
     "preference_value": int, "missing_citation_flag": bool, "exclusion_adjudicated": bool,
 }
+_REVIEW_OPTIONAL = ("sr_confidence", "text_overlap", "bid", "preference_value")
 
 
 def _entries(field: str, value) -> tuple[str, ...]:
@@ -237,8 +243,9 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
     ``config`` defaults to the directory's ``venue.json``.  Raises, naming the
     file and line, :class:`ParseError` on malformed records (ids, names and
     reference entries must be strings, flags booleans, scores and scale
-    values integers), :class:`ReferentialError` on dangling ids, and
-    :class:`ValidationError` on out-of-scale values.
+    values integers, text overlaps numbers), :class:`ReferentialError` on
+    dangling ids, and :class:`ValidationError` on out-of-scale values.  Types
+    are checked first, so the message names the field.
     """
     root = Path(path)
     if config is None:
@@ -247,8 +254,8 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
     reviewers: dict[str, Reviewer] = {}
     with parsing(root / REVIEWERS_FILE) as source:
         for obj in source.jsonl():
-            reviewer = Reviewer(**obj)
             require_types(obj, _REVIEWER_TYPES)
+            reviewer = Reviewer(**obj)
             if reviewer.id in reviewers:
                 raise ValidationError(f"duplicate reviewer id {reviewer.id!r}")
             reviewers[reviewer.id] = reviewer
@@ -256,10 +263,10 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
     submissions: dict[str, Submission] = {}
     with parsing(root / SUBMISSIONS_FILE) as source:
         for obj in source.jsonl():
+            require_types(obj, _SUBMISSION_TYPES)
             if "reference_entries" in obj:
                 obj["reference_entries"] = _entries("reference_entries", obj["reference_entries"])
             submission = Submission(**obj)
-            require_types(obj, _SUBMISSION_TYPES)
             if submission.id in submissions:
                 raise ValidationError(f"duplicate submission id {submission.id!r}")
             submissions[submission.id] = submission
@@ -280,6 +287,7 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
     seen_pairs: set[Pair] = set()
     with parsing(root / REVIEWS_FILE) as source:
         for obj in source.jsonl():
+            require_types(obj, _REVIEW_TYPES, _REVIEW_OPTIONAL)
             record = ReviewRecord(**obj)
             if record.submission_id not in submissions:
                 raise ReferentialError(
@@ -293,9 +301,6 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
                 raise ValidationError(f"duplicate review for pair {record.pair}")
             seen_pairs.add(record.pair)
             _validate_scales(record, config)
-            # The range checks reject a string score as a wrong shape; this
-            # rejects what compares like a number: true, 3.5.
-            require_types(obj, _REVIEW_TYPES, ("sr_confidence", "bid", "preference_value"))
             reviews.append(record)
 
     return ReviewDataset(

@@ -230,20 +230,27 @@ def save_analysis_dataset(analysis: AnalysisDataset, path: Path | str) -> None:
     )
 
 
+_ANALYSIS_TYPES = {"submission_id": str, "reviewer_id": str, "score": float, "cited": bool}
+
+
 def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisDataset:
     """Read ``analysis.jsonl``.
 
-    A record whose score lies outside the venue scale, whose covariate names
-    are not the venue model's, or that holds a non-finite covariate is a
-    ValidationError naming its line.
+    A record whose ids are not strings, whose ``cited`` is not a boolean, or
+    whose score or a covariate is not a number (``true`` is none) is a
+    ParseError naming its line and the field.  One whose score lies outside
+    the venue scale, whose covariate names are not the venue model's, or
+    that holds a non-finite covariate is a ValidationError naming its line.
     """
     names = set(policy_covariates(config.venue_policy))
+    covariate_types = dict.fromkeys(names, float)
     by_submission: dict[str, list[AnalysisRecord]] = {}
     with parsing(path) as source:
         for obj in source.jsonl():
+            require_types(obj, _ANALYSIS_TYPES)
             record = AnalysisRecord(**obj)
-            require_types(obj, {"cited": bool})
             covariates = record.covariates
+            require_types(covariates, covariate_types)
             complaint = score_off_scale(record.score, config)
             if complaint:
                 raise ValidationError(f"record {complaint}")

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import parsing, write_csv, write_json
+from .dataset import VenuePolicy
 from .errors import NoAnalyzableDataError, SampleSizeError, ValidationError
 from .filtering import AnalysisDataset, AnalysisRecord
 
@@ -100,43 +102,25 @@ def _max_matching_size(adj: list[list[int]], n_right: int) -> int:
     return size
 
 
-def _lexicographic_maximum_matching(
-    cited: list[AnalysisRecord],
-    uncited: list[AnalysisRecord],
-    overlap_tolerance: float,
-) -> list[tuple[AnalysisRecord, AnalysisRecord]]:
-    """Maximum matching, ties broken toward lexicographically earliest pairs.
+def _lexicographic_maximum_matching(adj: list[list[int]], n_right: int) -> list[tuple[int, int]]:
+    """Maximum matching whose (row, column) pairs come first lexicographically.
 
-    Pairs are considered in (cited_id, uncited_id) order; a pair is kept iff
-    some maximum matching contains it together with all pairs already kept.
+    Row by row, keep the first column that still extends the pairs kept so
+    far to a maximum matching, and drop that column from the later rows.  A
+    row that keeps nothing is in no such matching, so the later checks can
+    leave it out.
     """
-    adj = [
-        [j for j, u in enumerate(uncited) if compatible(c, u, overlap_tolerance)]
-        for c in cited
-    ]
-    target = _max_matching_size(adj, len(uncited))
-    if target == 0:
-        return []
-
-    forced: list[tuple[int, int]] = []
-    used_left: set[int] = set()
-    used_right: set[int] = set()
-    for i, j in sorted(
-        ((i, j) for i in range(len(cited)) for j in adj[i]),
-        key=lambda ij: (cited[ij[0]].reviewer_id, uncited[ij[1]].reviewer_id),
-    ):
-        if i in used_left or j in used_right or len(forced) == target:
-            continue
-        rest_adj = [
-            [jj for jj in adj[ii] if jj not in used_right and jj != j]
-            for ii in range(len(cited))
-            if ii not in used_left and ii != i
-        ]
-        if len(forced) + 1 + _max_matching_size(rest_adj, len(uncited)) >= target:
-            forced.append((i, j))
-            used_left.add(i)
-            used_right.add(j)
-    return [(cited[i], uncited[j]) for i, j in forced]
+    pairs: list[tuple[int, int]] = []
+    need = _max_matching_size(adj, n_right)
+    for i in range(len(adj)):
+        for j in adj[i]:
+            rest = [[c for c in row if c != j] for row in adj[i + 1:]]
+            if 1 + _max_matching_size(rest, n_right) == need:
+                pairs.append((i, j))
+                need -= 1
+                adj = adj[: i + 1] + rest
+                break
+    return pairs
 
 
 def match(
@@ -144,35 +128,29 @@ def match(
 ) -> list[MatchedTriple]:
     """Build matched triples per submission via maximum bipartite matching.
 
-    Submissions where no compatible (cited, uncited) pair exists contribute
-    nothing.  Requires the ICML-like covariate set on every record, and a
+    Each submission contributes the maximum matching whose (cited id,
+    uncited id) pairs come first; submissions where no compatible pair
+    exists contribute nothing.  Requires the ICML-like covariate set, and a
     finite, non-negative ``overlap_tolerance``.
     """
     if not math.isfinite(overlap_tolerance) or overlap_tolerance < 0:
         raise ValidationError(
             f"the overlap tolerance must be finite and non-negative, got {overlap_tolerance}"
         )
+    if analysis.policy != VenuePolicy.ICML_LIKE:
+        raise ValidationError("matching requires the ICML-like covariate set")
     triples: list[MatchedTriple] = []
     for sid in analysis.submissions():
-        records = analysis.by_submission[sid]
-        for record in records:
-            if "bid" not in record.covariates:
-                raise ValidationError(
-                    f"record {record.pair} lacks matching covariates; "
-                    "matching requires the ICML-like covariate set"
-                )
-        cited = sorted((r for r in records if r.cited), key=lambda r: r.reviewer_id)
-        uncited = sorted((r for r in records if not r.cited), key=lambda r: r.reviewer_id)
-        for c, u in _lexicographic_maximum_matching(cited, uncited, overlap_tolerance):
-            triples.append(
-                MatchedTriple(
-                    submission_id=sid,
-                    cited_reviewer_id=c.reviewer_id,
-                    uncited_reviewer_id=u.reviewer_id,
-                    score_cited=c.score,
-                    score_uncited=u.score,
-                )
-            )
+        records = sorted(analysis.by_submission[sid], key=attrgetter("reviewer_id"))
+        cited = [r for r in records if r.cited]
+        uncited = [r for r in records if not r.cited]
+        adj = [
+            [j for j, u in enumerate(uncited) if compatible(c, u, overlap_tolerance)]
+            for c in cited
+        ]
+        for i, j in _lexicographic_maximum_matching(adj, len(uncited)):
+            c, u = cited[i], uncited[j]
+            triples.append(MatchedTriple(sid, c.reviewer_id, u.reviewer_id, c.score, u.score))
     return triples
 
 

@@ -26,8 +26,6 @@ from scipy.stats import norm
 from .artifacts import parsing, write_json, write_jsonl
 from .citations import CitationRelation, make_author_key
 from .dataset import (
-    EC_COVARIATES,
-    ICML_COVARIATES,
     ICML_OPTIONAL_FIELDS,
     Pair,
     Reviewer,
@@ -36,6 +34,7 @@ from .dataset import (
     Submission,
     VenueConfig,
     VenuePolicy,
+    policy_covariates,
     preference_percentiles,
 )
 from .errors import InfeasibleAssignmentError, ValidationError
@@ -215,9 +214,7 @@ class GeneratorConfig:
                 raise ValidationError(f"missingness rate for {name!r} must lie in [0, 1]")
         if self.n_submissions < 1 or self.reviewers_per_paper < 1:
             raise ValidationError("need at least one submission and one reviewer per paper")
-        expected = (
-            EC_COVARIATES if self.venue.venue_policy == VenuePolicy.EC_LIKE else ICML_COVARIATES
-        )
+        expected = policy_covariates(self.policy)
         if set(self.covariate_coeffs) != set(expected):
             raise ValidationError(
                 f"covariate_coeffs keys must be {sorted(expected)}, "
@@ -331,6 +328,12 @@ def _normalized(weights: tuple[float, ...], size: int, label: str) -> np.ndarray
     return arr / arr.sum()
 
 
+def _masked(values: np.ndarray, missing: np.ndarray) -> list:
+    """``values`` as a flat list, None where ``missing`` holds."""
+    flat = zip(values.ravel().tolist(), missing.ravel().tolist())
+    return [None if gone else value for value, gone in flat]
+
+
 def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, GroundTruth]:
     """Draw one conference from the planted model; deterministic given the seed."""
     rng = np.random.default_rng(config.seed)
@@ -347,46 +350,6 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
     text_profile = np.ones(R, dtype=bool)
     if policy == VenuePolicy.ICML_LIKE:
         text_profile = rng.random(R) >= config.missingness.get("text_overlap", 0.0)
-
-    # The k smallest of each row's uniform keys: a uniform k-subset.
-    assign = np.argpartition(rng.random((S, R)), k - 1, axis=1)[:, :k]
-    assign.sort(axis=1)
-
-    rho = config.confounder_correlation
-    z_cite = rng.standard_normal((S, k))
-    z_exp = rho * z_cite + np.sqrt(max(0.0, 1.0 - rho**2)) * rng.standard_normal((S, k))
-    if config.citation_prevalence <= 0.0:
-        cited = np.zeros((S, k), dtype=bool)
-    elif config.citation_prevalence >= 1.0:
-        cited = np.ones((S, k), dtype=bool)
-    else:
-        cited = z_cite > norm.ppf(1.0 - config.citation_prevalence)
-
-    exp_weights = _normalized(config.expertise_weights, 4, "expertise_weights")
-    thresholds = np.cumsum(exp_weights)[:-1]
-    expertise = 1 + np.searchsorted(thresholds, norm.cdf(z_exp).ravel()).reshape(S, k)
-
-    quality = rng.normal(config.quality_mean, config.quality_sd, S)
-    noise = rng.normal(0.0, config.noise_scale, (S, k))
-
-    if policy == VenuePolicy.ICML_LIKE:
-        conf_weights = _normalized(config.confidence_weights, 4, "confidence_weights")
-        confidence = rng.choice(np.arange(1, 5), size=(S, k), p=conf_weights)
-        text = np.clip(
-            rng.normal(config.text_overlap_mean, config.text_overlap_sd, (S, k)), 0.0, 1.0
-        )
-        bid_weights = _normalized(config.bid_weights, 3, "bid_weights")
-        bids = rng.choice(np.arange(3, 6), size=(S, k), p=bid_weights)
-        conf_missing = rng.random((S, k)) < config.missingness.get("sr_confidence", 0.0)
-        bid_missing = rng.random((S, k)) < config.missingness.get("bid", 0.0)
-        preference = None
-        pref_missing = None
-    else:
-        confidence = text = bids = conf_missing = bid_missing = None
-        preference = rng.integers(1, 101, size=(S, k))
-        pref_missing = rng.random((S, k)) < config.missingness.get("preference", 0.0)
-
-    submission_ids = [f"s{i + 1:04d}" for i in range(S)]
     reviewers = {
         rid: Reviewer(
             id=rid,
@@ -398,56 +361,59 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
         for i, rid in enumerate(reviewer_ids)
     }
 
-    # Review fields in (submission, slot) order; records are built once the
-    # observed scores are known.  Plain lists index much faster than arrays.
-    reviewer_of = assign.ravel().tolist()
-    fields: list[dict] = [
-        dict(
-            submission_id=submission_ids[idx // k],
-            reviewer_id=reviewer_ids[r],
-            sr_expertise=level,
-        )
-        for idx, (r, level) in enumerate(zip(reviewer_of, expertise.ravel().tolist()))
-    ]
-    if policy == VenuePolicy.ICML_LIKE:
-        has_text = text_profile.tolist()
-        for kwargs, r, conf, no_conf, overlap, bid, no_bid in zip(
-            fields, reviewer_of, confidence.ravel().tolist(), conf_missing.ravel().tolist(),
-            text.ravel().tolist(), bids.ravel().tolist(), bid_missing.ravel().tolist(),
-        ):
-            if not no_conf:
-                kwargs["sr_confidence"] = conf
-            if has_text[r]:
-                kwargs["text_overlap"] = overlap
-            if not no_bid:
-                kwargs["bid"] = bid
-    else:
-        for kwargs, pref, no_pref in zip(
-            fields, preference.ravel().tolist(), pref_missing.ravel().tolist()
-        ):
-            if not no_pref:
-                kwargs["preference_value"] = pref
+    # The k smallest of each row's uniform keys: a uniform k-subset.
+    assign = np.argpartition(rng.random((S, R)), k - 1, axis=1)[:, :k]
+    assign.sort(axis=1)
+
+    rho = config.confounder_correlation
+    z_cite = rng.standard_normal((S, k))
+    z_exp = rho * z_cite + np.sqrt(max(0.0, 1.0 - rho**2)) * rng.standard_normal((S, k))
+    # norm.ppf is +inf at 1 and -inf at 0, so prevalence 0 cites no pair and 1 every pair.
+    cited = z_cite > norm.ppf(1.0 - config.citation_prevalence)
+
+    exp_weights = _normalized(config.expertise_weights, 4, "expertise_weights")
+    thresholds = np.cumsum(exp_weights)[:-1]
+    expertise = 1 + np.searchsorted(thresholds, norm.cdf(z_exp).ravel()).reshape(S, k)
+
+    quality = rng.normal(config.quality_mean, config.quality_sd, S)
+    noise = rng.normal(0.0, config.noise_scale, (S, k))
 
     # The linear predictor uses exactly the covariates the analysis will see:
     # EC missing preferences enter through the (pref_perc=0, missing_pref=1)
     # encoding, so covariate_matrix on the emitted dataset reproduces the model.
     coeffs = config.covariate_coeffs
-    sen_pair = seniority[assign]
     linear = (
         config.baseline
         + config.quality_coeff * quality[:, None]
         + coeffs["sr_expertise"] * expertise
-        + coeffs["seniority"] * sen_pair
+        + coeffs["seniority"] * seniority[assign]
         + config.citation_bias * cited
     )
+    # One list per optional review field in (submission, slot) order, None
+    # where a draw is masked missing.
+    confidence_col = text_col = bid_col = preference_col = [None] * (S * k)
     if policy == VenuePolicy.ICML_LIKE:
+        conf_weights = _normalized(config.confidence_weights, 4, "confidence_weights")
+        confidence = rng.choice(np.arange(1, 5), size=(S, k), p=conf_weights)
+        text = np.clip(
+            rng.normal(config.text_overlap_mean, config.text_overlap_sd, (S, k)), 0.0, 1.0
+        )
+        bid_weights = _normalized(config.bid_weights, 3, "bid_weights")
+        bids = rng.choice(np.arange(3, 6), size=(S, k), p=bid_weights)
+        conf_missing = rng.random((S, k)) < config.missingness.get("sr_confidence", 0.0)
+        bid_missing = rng.random((S, k)) < config.missingness.get("bid", 0.0)
         linear = (
             linear
             + coeffs["sr_confidence"] * confidence
             + coeffs["text_overlap"] * text
             + coeffs["bid"] * bids
         )
+        confidence_col = _masked(confidence, conf_missing)
+        text_col = _masked(text, ~text_profile[assign])
+        bid_col = _masked(bids, bid_missing)
     else:
+        preference = rng.integers(1, 101, size=(S, k))
+        pref_missing = rng.random((S, k)) < config.missingness.get("preference", 0.0)
         pref_perc, missing_pref = preference_percentiles(
             assign.ravel(), np.where(pref_missing, 0, preference).ravel()
         )
@@ -456,41 +422,37 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
             + coeffs["pref_perc"] * pref_perc.reshape(S, k)
             + coeffs["missing_pref"] * missing_pref.reshape(S, k)
         )
+        preference_col = _masked(preference, pref_missing)
 
     latent = linear + noise
     observed = np.clip(
         np.rint(latent), config.venue.score_min, config.venue.score_max
     ).astype(int)
 
-    final_records = [
-        ReviewRecord(score=score, **kwargs)
-        for kwargs, score in zip(fields, observed.ravel().tolist())
-    ]
-
-    pairs = [(kwargs["submission_id"], kwargs["reviewer_id"]) for kwargs in fields]
+    submission_ids = [f"s{i + 1:04d}" for i in range(S)]
+    pair_submissions = [sid for sid in submission_ids for _ in range(k)]
+    pair_reviewers = [reviewer_ids[r] for r in assign.ravel().tolist()]
+    reviews = tuple(map(
+        ReviewRecord, pair_submissions, pair_reviewers, observed.ravel().tolist(),
+        expertise.ravel().tolist(), confidence_col, text_col, bid_col, preference_col,
+    ))
+    pairs = list(zip(pair_submissions, pair_reviewers))
     cited_map: dict[Pair, bool] = dict(zip(pairs, cited.ravel().tolist()))
     latent_map: dict[Pair, float] = dict(zip(pairs, latent.ravel().tolist()))
 
-    cited_by_submission: dict[str, list[int]] = {
-        submission_ids[s]: [r for r, c in zip(row, cited_row) if c]
-        for s, (row, cited_row) in enumerate(zip(assign.tolist(), cited.tolist()))
-    }
     submissions = {}
-    for sid in submission_ids:
+    for sid, row, cited_row in zip(submission_ids, assign.tolist(), cited.tolist()):
         entries: tuple[str, ...] = ()
         if config.render_references:
-            entries = tuple(
-                _render_reference_list(
-                    rng, [(names[r][0], names[r][1]) for r in cited_by_submission[sid]]
-                )
-            )
+            cited_names = [names[r] for r, c in zip(row, cited_row) if c]
+            entries = tuple(_render_reference_list(rng, cited_names))
         submissions[sid] = Submission(id=sid, reference_entries=entries, withdrawn=False)
 
     dataset = ReviewDataset(
         config=config.venue,
         reviewers=reviewers,
         submissions=submissions,
-        reviews=tuple(final_records),
+        reviews=reviews,
     )
     relation = CitationRelation(cited=cited_map)
     truth = GroundTruth(

@@ -32,6 +32,11 @@ DATASET_FILES = {
 }
 
 
+def venue(edit):
+    """An EC-like ``venue.json`` with ``edit`` applied."""
+    return json.dumps({"score_min": 1, "score_max": 5, "venue_policy": "EC_LIKE", **edit})
+
+
 def load_dataset_beside(path):
     """Load the dataset directory that holds ``path``, its other files valid."""
     for name, content in DATASET_FILES.items():
@@ -112,9 +117,9 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
         (syn.load_ground_truth, "ground_truth.json", '{"pairs": 3}', "ground_truth.json: "),
         (ds.load_venue_config, "venue.json", "[]", "venue.json: "),
         (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "score": "5"}),
-         "reviews.jsonl:2: wrong shape"),
+         "reviews.jsonl:2: score must be an integer, not str"),
         (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "sr_expertise": None}),
-         "reviews.jsonl:2: wrong shape"),
+         "reviews.jsonl:2: sr_expertise must be an integer, not NoneType"),
         (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW, "reviewer_id": ["r2"]}),
          "reviews.jsonl:2: wrong shape"),
         (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "bogus": 1}),
@@ -179,6 +184,27 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
          lines({"submission_id": "s1", "reviewer_id": "r1", "score": 4.0, "cited": "false",
                 "covariates": {}}),
          "analysis.jsonl:1: cited must be a boolean, not str"),
+        (ds.load_venue_config, "venue.json", venue({"score_min": True}),
+         "venue.json: score_min must be an integer, not bool"),
+        (ds.load_venue_config, "venue.json", venue({"score_max": 5.5}),
+         "venue.json: score_max must be an integer, not float"),
+        (ds.load_venue_config, "venue.json", venue({"expertise_scale": [1, 4.5]}),
+         "venue.json: expertise_scale must be a list of two integers"),
+        (ds.load_venue_config, "venue.json", venue({"preference_range": [-100, 0, 100]}),
+         "venue.json: preference_range must be a list of two integers"),
+        (ds.load_venue_config, "venue.json", venue({"bid_scale": "2-5"}),
+         "venue.json: bid_scale must be a list of two integers"),
+        (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "text_overlap": True}),
+         "reviews.jsonl:2: text_overlap must be a number, not bool"),
+        (lambda path: flt.load_analysis_dataset(path, VenueConfig.ec_like()), "analysis.jsonl",
+         lines({"submission_id": "s1", "reviewer_id": "r1", "score": 4.0, "cited": False,
+                "covariates": {"sr_expertise": True, "pref_perc": 0.0, "missing_pref": 0.0,
+                               "seniority": 1.0}}),
+         "analysis.jsonl:1: sr_expertise must be a number, not bool"),
+        (lambda path: flt.load_analysis_dataset(path, VenueConfig.ec_like()), "analysis.jsonl",
+         lines({"submission_id": "s1", "reviewer_id": "r1", "score": True, "cited": False,
+                "covariates": {}}),
+         "analysis.jsonl:1: score must be a number, not bool"),
     ],
     ids=[
         "relation-no-pairs", "relation-list", "relation-row-key", "edits-column",
@@ -192,7 +218,10 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
         "review-score-fraction", "review-expertise-bool", "review-confidence-fraction",
         "review-bid-bool", "review-preference-fraction", "review-flag-string",
         "review-adjudicated-int", "relation-cited-string", "relation-override-int",
-        "analysis-cited-string",
+        "analysis-cited-string", "venue-score-min-bool", "venue-score-max-fraction",
+        "venue-expertise-scale-fraction", "venue-preference-range-length",
+        "venue-bid-scale-string", "review-overlap-bool", "analysis-covariate-bool",
+        "analysis-score-bool",
     ],
 )
 def test_wrong_shape_is_parse_error_naming_the_file(load, name, content, message, tmp_path):
@@ -202,3 +231,10 @@ def test_wrong_shape_is_parse_error_naming_the_file(load, name, content, message
         load(path)
     assert str(info.value).startswith(message)
 
+
+
+def test_an_integer_text_overlap_is_a_number(tmp_path):
+    path = tmp_path / "reviews.jsonl"
+    path.write_text(lines({**REVIEW, "text_overlap": 1}, {**REVIEW_2, "text_overlap": 0}))
+    dataset = load_dataset_beside(path)
+    assert [r.text_overlap for r in dataset.reviews] == [1, 0]

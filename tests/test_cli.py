@@ -325,11 +325,12 @@ def icml_filtered(tmp_path, capsys):
      "non-finite covariates ['text_overlap']"),
     ({"covariates": {"bid": float("inf")}}, "ValidationError", "non-finite covariates ['bid']"),
     ({"covariates": {"pref_perc": 50.0}}, "ValidationError", "'pref_perc'"),
-    ({"covariates": {"bid": None}}, "ParseError", "wrong shape"),
-    ({"score": "5"}, "ParseError", "wrong shape"),
+    ({"covariates": {"bid": None}}, "ParseError", "bid must be a number, not NoneType"),
+    ({"score": "5"}, "ParseError", "score must be a number, not str"),
     ({"cited": "false"}, "ParseError", "cited must be a boolean"),
+    ({"covariates": {"bid": True}}, "ParseError", "bid must be a number, not bool"),
 ], ids=["score-huge", "score-nan", "overlap-nan", "bid-inf", "extra-covariate", "bid-null",
-        "score-string", "cited-string"])
+        "score-string", "cited-string", "bid-bool"])
 @pytest.mark.parametrize("mode", ["--parametric", "--nonparametric"])
 def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, error_type, names, mode):
     path = icml_filtered / "analysis.jsonl"
@@ -350,8 +351,8 @@ def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, error_ty
 
 
 @pytest.mark.parametrize("name, field, value, names", [
-    ("reviews.jsonl", "score", "5", "wrong shape"),
-    ("reviews.jsonl", "sr_expertise", None, "wrong shape"),
+    ("reviews.jsonl", "score", "5", "score must be an integer, not str"),
+    ("reviews.jsonl", "sr_expertise", None, "sr_expertise must be an integer, not NoneType"),
     ("reviews.jsonl", "reviewer_id", ["r0001"], "wrong shape"),
     ("reviewers.jsonl", "last_name", 5, "last_name must be a string"),
     ("reviewers.jsonl", "first_name", None, "first_name must be a string"),
@@ -367,11 +368,13 @@ def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, error_ty
     ("reviews.jsonl", "missing_citation_flag", "no", "missing_citation_flag must be a boolean"),
     ("reviewers.jsonl", "seniority", True, "seniority must be an integer"),
     ("reviewers.jsonl", "has_text_profile", "no", "has_text_profile must be a boolean"),
+    ("reviews.jsonl", "text_overlap", True, "text_overlap must be a number, not bool"),
 ], ids=["review-score-string", "review-expertise-null", "review-id-list",
         "reviewer-last-name-int", "reviewer-first-name-null", "submission-entries-string",
         "submission-entry-int", "references-entries-string", "submission-withdrawn-string",
         "review-score-fraction", "review-expertise-bool", "review-preference-fraction",
-        "review-flag-string", "reviewer-seniority-bool", "reviewer-text-profile-string"])
+        "review-flag-string", "reviewer-seniority-bool", "reviewer-text-profile-string",
+        "review-overlap-bool"])
 def test_ingest_names_the_line_of_a_wrong_typed_record(
     simulated, capsys, name, field, value, names
 ):
