@@ -12,6 +12,7 @@ from revaudit import filtering as flt
 from revaudit import nonparametric as npar
 from revaudit import parametric as par
 from revaudit import synthetic as syn
+from revaudit.artifacts import parsing
 from revaudit.dataset import VenueConfig
 from revaudit.errors import ParseError
 
@@ -238,3 +239,36 @@ def test_an_integer_text_overlap_is_a_number(tmp_path):
     path.write_text(lines({**REVIEW, "text_overlap": 1}, {**REVIEW_2, "text_overlap": 0}))
     dataset = load_dataset_beside(path)
     assert [r.text_overlap for r in dataset.reviews] == [1, 0]
+
+
+@pytest.mark.parametrize("content, expected", [
+    ('{"a": 1}\r\n{"b": [2, 3]}\r\n', [{"a": 1}, {"b": [2, 3]}]),
+    ('  {"a": 1}  \n\t{"b": 2}\t\n', [{"a": 1}, {"b": 2}]),
+    ('﻿{"a": 1}\n', "x.jsonl:1: malformed JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    ('\n   \n\t\r\n{"a": 1}\n\x0c\n\n', [{"a": 1}]),
+    ('{"a": 1} {"b": 2}\n', "x.jsonl:1: malformed JSON (Extra data)"),
+    ('{"a":\n 1}\n', "x.jsonl:1: malformed JSON (Expecting value)"),
+    ('{"a": 1}\n3\n', "x.jsonl:2: expected a JSON object"),
+    ("NaN\n", "x.jsonl:1: expected a JSON object"),
+    ('{"a": NaN, "b": -Infinity}\n', [{"a": float("nan"), "b": float("-inf")}]),
+    ('{"a": 1}\x0c\n', "x.jsonl:1: malformed JSON (Extra data)"),
+    (' {"a": 1}\n', "x.jsonl:1: malformed JSON (Expecting value)"),
+    ('{"a": 1}\n{"b": "x"}', [{"a": 1}, {"b": "x"}]),
+    ('{"a": 1}\r{"b": 2}\n', [{"a": 1}, {"b": 2}]),
+    ('{"a": 1}\n{"truncated": \n', "x.jsonl:2: malformed JSON (Expecting value)"),
+], ids=[
+    "crlf", "outer-spaces", "bom", "blank-lines", "two-objects", "split-object", "scalar",
+    "nan-line", "nan-values", "form-feed-after", "nbsp-before", "no-final-newline", "lone-cr",
+    "truncated",
+])
+def test_json_lines_reader_objects_and_errors(content, expected, tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(content.encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as info:
+            with parsing(path) as source:
+                list(source.jsonl())
+        assert str(info.value) == expected
+    else:
+        with parsing(path) as source:
+            assert repr(list(source.jsonl())) == repr(expected)
