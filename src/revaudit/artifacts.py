@@ -23,6 +23,11 @@ from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError, RevauditError
 
+# Configured as json.loads's decoder; raw_decode also says where the value ended.
+_raw_decode = json.JSONDecoder().raw_decode
+# What json.dumps(obj, sort_keys=True, separators=(",", ":")) builds on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class Source:
     """A file being loaded, and the line of the record being read, if any."""
@@ -40,12 +45,22 @@ class Source:
         return json.loads(self.path.read_text(encoding="utf-8"))
 
     def jsonl(self) -> Iterator[dict]:
-        """Yield the object on each non-blank line; that line is current until the next."""
+        """Yield the object on each non-blank line; that line is current until the next.
+
+        A line is decoded once when only JSON whitespace follows its value;
+        any other line (leading whitespace, a BOM, bad JSON) goes through
+        ``json.loads``, whose result or error it gets.
+        """
         with self.path.open("r", encoding="utf-8") as fh:
             for self.line, text in enumerate(fh, start=1):
                 if not text.strip():
                     continue
-                obj = json.loads(text)
+                try:
+                    obj, end = _raw_decode(text)
+                except ValueError:
+                    end = None
+                if end is None or text[end:].strip(" \t\n\r"):
+                    obj = json.loads(text)
                 if not isinstance(obj, dict):
                     raise ParseError("expected a JSON object")
                 yield obj
@@ -121,7 +136,7 @@ def write_json(path: Path | str, obj) -> None:
 
 
 def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def write_jsonl(path: Path | str, rows: Iterable[dict]) -> None:

@@ -33,6 +33,9 @@ _PARTICLES = {
 
 _YEAR_RE = re.compile(r"\(\s*(?:1[5-9]|20)\d{2}[a-z]?\s*\)")
 _ETAL_RE = re.compile(r"(?:^|[,;\s])et\s+al\.?$", re.IGNORECASE)
+_DANGLING_AND_RE = re.compile(r"(?:\band|&)$")
+_AND_RE = re.compile(r"\s+\band\b\s+")
+_SENTENCE_END_RE = re.compile(r"\.(?:\s+|$)")
 
 
 class ReferenceParseWarning(UserWarning):
@@ -101,10 +104,6 @@ def _parse_natural(text: str) -> tuple[str, str] | None:
     return (" ".join(tokens[surname_start:]), tokens[0].rstrip("."))
 
 
-def _is_natural_name(text: str) -> bool:
-    return len(text.split()) >= 2 and _parse_natural(text) is not None
-
-
 def _parse_single_name(text: str) -> tuple[str, str] | None:
     """Parse one author string, inverted ("Last, First") or natural order."""
     text = text.strip().strip(",;").strip()
@@ -135,14 +134,14 @@ def _split_comma_items(part: str) -> list[tuple[str, str]] | None:
     if len(items) == 1:
         parsed = _parse_single_name(items[0])
         return None if parsed is None else [parsed]
-    if all(len(item.split()) >= 2 and _is_natural_name(item) for item in items):
-        out = []
-        for item in items:
-            parsed = _parse_natural(item)
-            if parsed is None:
-                return None
-            out.append(parsed)
-        return out
+    natural = []
+    for item in items:
+        parsed = _parse_natural(item) if len(item.split()) >= 2 else None
+        if parsed is None:
+            break
+        natural.append(parsed)
+    else:
+        return natural
     if len(items) % 2 == 0:
         paired = []
         for i in range(0, len(items), 2):
@@ -163,7 +162,7 @@ def _parse_author_segment(segment: str) -> list[tuple[str, str]] | None:
     segment = _ETAL_RE.sub("", segment).strip().strip(",;").strip()
     if had_etal:
         # Tolerate a separator left dangling by the removal ("... and et al.").
-        segment = re.sub(r"(?:\band|&)$", "", segment).strip().strip(",;").strip()
+        segment = _DANGLING_AND_RE.sub("", segment).strip().strip(",;").strip()
     if not segment:
         return [] if had_etal else None
 
@@ -179,9 +178,9 @@ def _parse_author_segment(segment: str) -> list[tuple[str, str]] | None:
             authors.append(parsed)
         return authors or None
 
-    normalized = segment.replace(" & ", " and ")
-    authors = []
-    for part in re.split(r"\s+\band\b\s+", normalized):
+    # From the last part: a candidate that runs into the title fails there.
+    resolved_parts = []
+    for part in reversed(_AND_RE.split(segment.replace(" & ", " and "))):
         part = part.strip().strip(",").strip()
         if not part:
             continue
@@ -192,7 +191,8 @@ def _parse_author_segment(segment: str) -> list[tuple[str, str]] | None:
             resolved = None if parsed is None else [parsed]
         if resolved is None:
             return None
-        authors.extend(resolved)
+        resolved_parts.append(resolved)
+    authors = [author for resolved in reversed(resolved_parts) for author in resolved]
     if not authors and not had_etal:
         return None
     return authors
@@ -204,11 +204,23 @@ def _candidate_segments(entry: str) -> list[str]:
     year = _YEAR_RE.search(entry)
     base = entry[: year.start()].strip() if year else entry
     candidates = {base.rstrip(".").strip()}
-    for match in re.finditer(r"\.(?:\s+|$)", base):
+    for match in _SENTENCE_END_RE.finditer(base):
         candidates.add(base[: match.start()].strip())
     out = [c for c in candidates if c]
     out.sort(key=len, reverse=True)
     return out
+
+
+def _parse_entry(entry: str) -> tuple[list[tuple[str, str]], str | None]:
+    """The entry's ``(last_name, first_initial)`` authors, and why none were
+    found when the entry cannot be read (else None)."""
+    if not entry or not entry.strip():
+        return [], "empty reference entry"
+    for segment in _candidate_segments(entry):
+        authors = _parse_author_segment(segment)
+        if authors is not None:
+            return [(last, given[:1]) for last, given in authors], None
+    return [], f"no authors parsed from entry: {entry[:80]!r}"
 
 
 def parse_reference_entry(entry: str) -> list[tuple[str, str]]:
@@ -219,18 +231,10 @@ def parse_reference_entry(entry: str) -> list[tuple[str, str]]:
     An entry that cannot be read yields an empty list and a
     :class:`ReferenceParseWarning`, never an exception.
     """
-    if not entry or not entry.strip():
-        warnings.warn(ReferenceParseWarning("empty reference entry"), stacklevel=2)
-        return []
-    for segment in _candidate_segments(entry):
-        authors = _parse_author_segment(segment)
-        if authors is not None:
-            return [(last, given[:1]) for last, given in authors]
-    warnings.warn(
-        ReferenceParseWarning(f"no authors parsed from entry: {entry[:80]!r}"),
-        stacklevel=2,
-    )
-    return []
+    authors, problem = _parse_entry(entry)
+    if problem is not None:
+        warnings.warn(ReferenceParseWarning(problem), stacklevel=2)
+    return authors
 
 
 def normalize_name_part(text: str) -> str:
@@ -327,6 +331,8 @@ def detect_citations(dataset: ReviewDataset, assignment: set[Pair]) -> CitationR
     placeholders = any(rk.placeholder for rk in keys.values())
 
     notes: list[str] = []
+    # Authors repeat across a venue's reference lists; key each once per call.
+    author_keys: dict[tuple[str, str], str | None] = {}
     submission_keys: dict[str, set[str]] = {}
     submission_lasts: dict[str, set[str]] = {}
     for sid in sorted({pair[0] for pair in assignment}):
@@ -335,16 +341,19 @@ def detect_citations(dataset: ReviewDataset, assignment: set[Pair]) -> CitationR
             raise ValidationError(f"assignment references unknown submission {sid!r}")
         parsed_keys: set[str] = set()
         lasts: set[str] = set()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ReferenceParseWarning)
-            for entry in submission.reference_entries:
-                for last, initial in parse_reference_entry(entry):
-                    key = make_author_key(last, initial)
-                    if key is not None:
-                        parsed_keys.add(key)
-                    if placeholders:
-                        lasts.add(normalize_name_part(last))
-        notes.extend(f"submission {sid!r}: {w.message}" for w in caught)
+        for entry in submission.reference_entries:
+            authors, problem = _parse_entry(entry)
+            if problem is not None:
+                notes.append(f"submission {sid!r}: {problem}")
+            for author in authors:
+                if author in author_keys:
+                    key = author_keys[author]
+                else:
+                    key = author_keys[author] = make_author_key(*author)
+                if key is not None:
+                    parsed_keys.add(key)
+                if placeholders:
+                    lasts.add(normalize_name_part(author[0]))
         submission_keys[sid] = parsed_keys
         submission_lasts[sid] = lasts
 
