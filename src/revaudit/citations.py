@@ -436,18 +436,25 @@ def save_relation(relation: CitationRelation, path: Path | str) -> None:
     write_json(path, {"pairs": rows, "warnings": list(relation.warnings)})
 
 
+_RELATION_TYPES = {
+    "submission_id": str, "reviewer_id": str, "cited": bool, "ambiguous": bool, "override": bool
+}
+
+
 def load_relation(path: Path | str) -> CitationRelation:
+    """Read ``relation.json``: ids must be strings, flags booleans, and no pair
+    may appear twice (a ValidationError naming the pair)."""
     cited: dict[Pair, bool] = {}
     ambiguous: set[Pair] = set()
     overrides: dict[Pair, bool] = {}
     with parsing(path) as source:
         payload = source.json()
         for row in payload["pairs"]:
+            require_types(row, _RELATION_TYPES, ("ambiguous", "override"))
             pair = (row["submission_id"], row["reviewer_id"])
+            if pair in cited:
+                raise ValidationError(f"duplicate pair {pair}")
             cited[pair] = row["cited"]
-            require_types(
-                row, {"cited": bool, "ambiguous": bool, "override": bool}, ("ambiguous", "override")
-            )
             if row.get("ambiguous"):
                 ambiguous.add(pair)
             if row.get("override") is not None:

@@ -239,12 +239,14 @@ def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisData
     A record whose ids are not strings, whose ``cited`` is not a boolean, or
     whose score or a covariate is not a number (``true`` is none) is a
     ParseError naming its line and the field.  One whose score lies outside
-    the venue scale, whose covariate names are not the venue model's, or
-    that holds a non-finite covariate is a ValidationError naming its line.
+    the venue scale, whose covariate names are not the venue model's, that
+    holds a non-finite covariate, or whose pair an earlier record has is a
+    ValidationError naming its line.
     """
     names = set(policy_covariates(config.venue_policy))
     covariate_types = dict.fromkeys(names, float)
     by_submission: dict[str, list[AnalysisRecord]] = {}
+    seen_pairs: set[Pair] = set()
     with parsing(path) as source:
         for obj in source.jsonl():
             require_types(obj, _ANALYSIS_TYPES)
@@ -264,6 +266,10 @@ def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisData
                 bad = sorted(k for k, v in covariates.items() if not math.isfinite(v))
                 if bad:
                     raise ValidationError(f"record has non-finite covariates {bad}")
+            pair = record.pair
+            if pair in seen_pairs:
+                raise ValidationError(f"duplicate record for pair {pair}")
+            seen_pairs.add(pair)
             by_submission.setdefault(record.submission_id, []).append(record)
     return AnalysisDataset(
         config=config,

@@ -14,7 +14,7 @@ from revaudit import parametric as par
 from revaudit import synthetic as syn
 from revaudit.artifacts import parsing
 from revaudit.dataset import VenueConfig
-from revaudit.errors import ParseError
+from revaudit.errors import ParseError, ValidationError
 
 REVIEWER = {"id": "r1", "last_name": "Doe", "first_name": "Jane", "seniority": 0}
 REVIEW = {"submission_id": "s1", "reviewer_id": "r1", "score": 4, "sr_expertise": 3}
@@ -206,6 +206,12 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
          lines({"submission_id": "s1", "reviewer_id": "r1", "score": True, "cited": False,
                 "covariates": {}}),
          "analysis.jsonl:1: score must be a number, not bool"),
+        (cit.load_relation, "relation.json",
+         '{"pairs": [{"submission_id": 1, "reviewer_id": "r1", "cited": false}]}',
+         "relation.json: submission_id must be a string, not int"),
+        (cit.load_relation, "relation.json",
+         '{"pairs": [{"submission_id": "s1", "reviewer_id": ["r1"], "cited": false}]}',
+         "relation.json: reviewer_id must be a string, not list"),
     ],
     ids=[
         "relation-no-pairs", "relation-list", "relation-row-key", "edits-column",
@@ -222,7 +228,7 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
         "analysis-cited-string", "venue-score-min-bool", "venue-score-max-fraction",
         "venue-expertise-scale-fraction", "venue-preference-range-length",
         "venue-bid-scale-string", "review-overlap-bool", "analysis-covariate-bool",
-        "analysis-score-bool",
+        "analysis-score-bool", "relation-submission-id-int", "relation-reviewer-id-list",
     ],
 )
 def test_wrong_shape_is_parse_error_naming_the_file(load, name, content, message, tmp_path):
@@ -232,6 +238,30 @@ def test_wrong_shape_is_parse_error_naming_the_file(load, name, content, message
         load(path)
     assert str(info.value).startswith(message)
 
+
+
+ANALYSIS_RECORD = {"submission_id": "s1", "reviewer_id": "r1", "score": 4.0, "cited": False,
+                   "covariates": {"sr_expertise": 3.0, "pref_perc": 0.5, "missing_pref": 0.0,
+                                  "seniority": 1.0}}
+RELATION_ROW = {"submission_id": "s1", "reviewer_id": "r1", "cited": False, "ambiguous": False}
+
+
+@pytest.mark.parametrize("load, name, content, message", [
+    (cit.load_relation, "relation.json",
+     json.dumps({"pairs": [RELATION_ROW, {**RELATION_ROW, "reviewer_id": "r2"},
+                           {**RELATION_ROW, "cited": True}]}),
+     "relation.json: duplicate pair ('s1', 'r1')"),
+    (lambda path: flt.load_analysis_dataset(path, VenueConfig.ec_like()), "analysis.jsonl",
+     lines(ANALYSIS_RECORD, {**ANALYSIS_RECORD, "reviewer_id": "r2"},
+           {**ANALYSIS_RECORD, "cited": True}),
+     "analysis.jsonl:3: duplicate record for pair ('s1', 'r1')"),
+], ids=["relation", "analysis"])
+def test_a_repeated_pair_is_a_validation_error_naming_it(load, name, content, message, tmp_path):
+    path = tmp_path / name
+    path.write_text(content)
+    with pytest.raises(ValidationError) as info:
+        load(path)
+    assert str(info.value) == message
 
 
 def test_an_integer_text_overlap_is_a_number(tmp_path):

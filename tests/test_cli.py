@@ -284,8 +284,24 @@ def test_malformed_artifact_is_parse_error(simulated, capsys, artifact, stages, 
             "ParseError",
             "gen.json: ",
         ),
+        (
+            '{"pairs": [{"submission_id": 1, "reviewer_id": "r0001", "cited": false}]}',
+            [("extract-citations",)],
+            ("filter",),
+            "ParseError",
+            "relation.json: submission_id must be a string, not int",
+        ),
+        (
+            '{"pairs": [{"submission_id": "s0001", "reviewer_id": "r0001", "cited": false}, '
+            '{"submission_id": "s0001", "reviewer_id": "r0001", "cited": true}]}',
+            [("extract-citations",)],
+            ("filter",),
+            "ValidationError",
+            "relation.json: duplicate pair ('s0001', 'r0001')",
+        ),
     ],
-    ids=["relation-object", "config-unknown-key", "config-list"],
+    ids=["relation-object", "config-unknown-key", "config-list", "relation-id-int",
+         "relation-repeated-pair"],
 )
 def test_wrong_shape_artifact_is_a_json_error(
     simulated, capsys, content, stages, command, error_type, names
@@ -346,6 +362,24 @@ def test_analysis_jsonl_is_checked_on_load(icml_filtered, capsys, edit, error_ty
     assert error["type"] == error_type
     assert error["message"].startswith("analysis.jsonl:3: ")
     assert names in error["message"]
+    assert not (icml_filtered / "fit.json").exists()
+    assert not (icml_filtered / "triples.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["--parametric", "--nonparametric"])
+def test_a_repeated_analysis_pair_is_rejected(icml_filtered, capsys, mode):
+    path = icml_filtered / "analysis.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["cited"] = not record["cited"]
+    lines.insert(3, json.dumps(record) + "\n")
+    path.write_text("".join(lines))
+    code, _, err = run(capsys, "analyze", mode, "--seed", "5", "--workdir", str(icml_filtered))
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    pair = (record["submission_id"], record["reviewer_id"])
+    assert error["message"] == f"analysis.jsonl:4: duplicate record for pair {pair}"
     assert not (icml_filtered / "fit.json").exists()
     assert not (icml_filtered / "triples.csv").exists()
 
