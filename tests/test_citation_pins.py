@@ -54,7 +54,8 @@ def structured(draw):
     text = names[0]
     for n in names[1:]:
         text += draw(separator) + n
-    return text + draw(tail) + draw(st.sampled_from((". ", ".", " ", ".. "))) + draw(title) + draw(end)
+    text += draw(tail) + draw(st.sampled_from((". ", ".", " ", ".. ")))
+    return text + draw(title) + draw(end)
 
 
 entries = st.one_of(soup, structured())
