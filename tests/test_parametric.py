@@ -1,5 +1,6 @@
 """Row construction, WLS exactness, inference calibration, and diagnostics."""
 
+import math
 import struct
 
 import numpy as np
@@ -314,3 +315,70 @@ def test_qq_on_standard_normal_residuals_tracks_diagonal():
     assert np.max(np.abs(sample[central] - theo[central])) <= 0.15
     ks = stats.kstest(sample, "norm")
     assert ks.pvalue > 0.01
+
+
+# --- inference formulas against scipy.stats -----------------------------------
+
+
+def _stats_reference(fit, rows):
+    """p-values, CI and Q-Q abscissae by the scipy.stats formulas, as the reference."""
+    p_values = {
+        name: math.nan if math.isnan(t) else float(2.0 * stats.t.sf(np.abs(t), fit.df))
+        for name, t in fit.t_stats.items()
+    }
+    half = stats.t.ppf(0.975, fit.df) * fit.std_errors["citation_effect"]
+    ci95 = (fit.citation_effect - half, fit.citation_effect + half)
+    n = len(rows)
+    qq = stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n).tolist()
+    return p_values, ci95, qq
+
+
+def _bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
+def _generated_rows(policy, n_submissions, seed):
+    maker = GeneratorConfig.ec_like if policy == VenuePolicy.EC_LIKE else GeneratorConfig.icml_like
+    config = maker(n_submissions=n_submissions, citation_bias=0.25, seed=seed,
+                   render_references=False)
+    dataset, relation, _ = generate(config)
+    analysis, _ = filter_dataset(dataset, relation)
+    return build_rows(analysis)
+
+
+@pytest.mark.parametrize("policy, n_submissions, seed", [
+    (VenuePolicy.EC_LIKE, 400, 31),
+    (VenuePolicy.ICML_LIKE, 600, 32),
+])
+def test_p_values_ci_and_qq_equal_the_scipy_stats_formulas(policy, n_submissions, seed):
+    rows = _generated_rows(policy, n_submissions, seed)
+    n_params = 1 + len(rows[0].covariate_deltas)
+    # Full venue, then prefixes with df = 1, 2, 3 and 10, where Student's t
+    # is far from the normal law.
+    for n in (len(rows), n_params + 1, n_params + 2, n_params + 3, n_params + 10):
+        subset = rows[:n]
+        fit = fit_wls(subset, policy)
+        p_values, ci95, qq = _stats_reference(fit, subset)
+        assert fit.p_values.keys() == p_values.keys()
+        assert _bits(fit.p_values.values()) == _bits(p_values.values())
+        assert _bits(fit.ci95) == _bits(ci95)
+        bundle = diagnostics(fit, subset, policy)
+        assert _bits(t for t, _ in bundle.qq) == _bits(qq)
+
+
+def test_scipy_stats_formulas_with_a_zero_column_and_extreme_t():
+    # A zero covariate column reports NaN; a near-exact fit drives |t| far
+    # into the tail, where the p-value underflows towards 0.
+    rng = np.random.default_rng(77)
+    n = 30
+    x = rng.standard_normal(n)
+    for noise in (1.0, 1e-6, 1e-12):
+        y = 0.7 + 0.2 * x + noise * rng.standard_normal(n)
+        rows = make_rows(y, covariate_deltas=[{"sr_expertise": x[i]} for i in range(n)])
+        fit = fit_wls(rows, VenuePolicy.EC_LIKE)
+        p_values, ci95, qq = _stats_reference(fit, rows)
+        assert math.isnan(fit.p_values["pref_perc"])
+        assert _bits(fit.p_values.values()) == _bits(p_values.values())
+        assert _bits(fit.ci95) == _bits(ci95)
+        bundle = diagnostics(fit, rows, VenuePolicy.EC_LIKE)
+        assert _bits(t for t, _ in bundle.qq) == _bits(qq)
