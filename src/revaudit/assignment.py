@@ -262,15 +262,6 @@ def tradeoff_sweep(
     return points
 
 
-def citation_coverage(assignment: Assignment, relation: "CitationRelation | None") -> float:
-    """Fraction of assigned papers with at least one cited reviewer."""
-    papers = {p for p, _ in assignment.pairs}
-    if not papers:
-        return 0.0
-    covered = {p for p, r in assignment.pairs if _cited(relation, (p, r))}
-    return len(covered) / len(papers)
-
-
 @dataclass(frozen=True)
 class AssignmentEdit:
     action: str  # "add" or "remove"
@@ -320,20 +311,19 @@ def forbidden_from_bids(dataset: ReviewDataset) -> frozenset[Pair]:
 
 
 def load_similarity(path: Path | str, forbidden: frozenset[Pair] = frozenset()) -> SimilarityMatrix:
+    """Read ``similarity.csv``; no pair may appear twice (a ValidationError naming it)."""
     sim: dict[Pair, float] = {}
     with parsing(path) as source:
         for row in source.csv():
-            sim[(row["submission_id"], row["reviewer_id"])] = float(row["sim"])
+            pair = (row["submission_id"], row["reviewer_id"])
+            if pair in sim:
+                raise ValidationError(f"duplicate pair {pair}")
+            sim[pair] = float(row["sim"])
     return SimilarityMatrix(sim=sim, forbidden=frozenset(forbidden))
 
 
 def save_assignment(assignment: Assignment, path: Path | str) -> None:
     write_csv(path, ["submission_id", "reviewer_id"], assignment.sorted_pairs())
-
-
-def load_assignment_pairs(path: Path | str) -> set[Pair]:
-    with parsing(path) as source:
-        return {(row["submission_id"], row["reviewer_id"]) for row in source.csv()}
 
 
 def load_edits(path: Path | str) -> list[AssignmentEdit]:

@@ -303,9 +303,6 @@ class CitationRelation:
         want = which == CITED
         return [p for p in self.pairs() if self.indicator(p) is want]
 
-    def with_override(self, pair: Pair, cited: bool) -> "CitationRelation":
-        return self.with_overrides({pair: cited})
-
     def with_overrides(self, overrides: dict[Pair, bool]) -> "CitationRelation":
         """A copy with these manual verdicts; every pair must be in the relation."""
         unknown = [pair for pair in overrides if pair not in self.cited]
@@ -406,14 +403,18 @@ def audit_sample(
 
 
 def load_overrides_csv(path: Path | str) -> dict[Pair, bool]:
-    """Read manual verdicts: columns submission_id, reviewer_id, cited in {0,1}."""
+    """Read manual verdicts: columns submission_id, reviewer_id, cited in {0,1};
+    no pair may appear twice (a ValidationError naming it)."""
     overrides: dict[Pair, bool] = {}
     with parsing(path) as source:
         for row in source.csv():
             flag = int(row["cited"])
             if flag not in (0, 1):
                 raise ValidationError(f"override cited must be 0 or 1, got {flag}")
-            overrides[(row["submission_id"], row["reviewer_id"])] = bool(flag)
+            pair = (row["submission_id"], row["reviewer_id"])
+            if pair in overrides:
+                raise ValidationError(f"duplicate pair {pair}")
+            overrides[pair] = bool(flag)
     return overrides
 
 

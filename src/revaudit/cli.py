@@ -15,7 +15,6 @@ from pathlib import Path
 
 import click
 
-from . import assignment as asg
 from . import citations as cit
 from . import filtering as flt
 from . import nonparametric as npar
@@ -207,6 +206,9 @@ def extract_citations(workdir, venue_config, pairs, overrides_path,
 def assign(workdir, venue_config, similarity_path, citation_weight, paper_load,
            reviewer_cap, forbid_from_bids, edits_path, sweep):
     """Solve the citation-aware assignment exactly."""
+    # Imported here: only this command needs scipy.optimize and scipy.sparse.
+    from . import assignment as asg
+
     wd = _workdir(workdir)
     sim_path = Path(similarity_path) if similarity_path else wd / "similarity.csv"
     _require(sim_path, "provide a similarity matrix CSV")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 from .artifacts import parsing, write_csv, write_json
 from .dataset import VenuePolicy, policy_covariates
@@ -170,7 +170,7 @@ def fit_wls(rows: list[AnalysisRow], policy: VenuePolicy) -> FitResult:
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = beta / se
-    p_vals = 2.0 * stats.t.sf(np.abs(t_vals), df)
+    p_vals = 2.0 * special.stdtr(df, -np.abs(t_vals))
 
     coefficients = {name: 0.0 for name in names}
     std_errors = {name: math.nan for name in names}
@@ -182,7 +182,7 @@ def fit_wls(rows: list[AnalysisRow], policy: VenuePolicy) -> FitResult:
         t_stats[names[j]] = float(t_vals[idx])
         p_values[names[j]] = float(p_vals[idx])
 
-    t_crit = stats.t.ppf(0.975, df)
+    t_crit = special.stdtrit(df, 0.975)
     alpha = coefficients[CITATION_TERM]
     half = t_crit * std_errors[CITATION_TERM]
     return FitResult(
@@ -220,7 +220,7 @@ def diagnostics(fit: FitResult, rows: list[AnalysisRow], policy: VenuePolicy) ->
     scale = fit.noise_scale_hat if fit.noise_scale_hat > 0 else 1.0
     standardized = np.sort(weighted_resid / scale)
     n = len(rows)
-    theoretical = stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    theoretical = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
 
     return DiagnosticsBundle(
         residuals_vs_fitted=list(zip(fitted.tolist(), weighted_resid.tolist())),

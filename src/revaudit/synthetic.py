@@ -10,9 +10,7 @@ coupled to self-reported expertise through a Gaussian copula to reproduce
 the expert-reviewers-get-cited confounding mechanism.
 
 Also renders reference lists (six citation formats) that embed the cited
-reviewers as authors, so the parsing stage can recover the planted relation,
-plus a standalone corpus builder with known per-entry author ground truth
-and deliberate key collisions.
+reviewers as authors, so the parsing stage can recover the planted relation.
 """
 
 from __future__ import annotations
@@ -21,10 +19,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
-from .artifacts import parsing, write_json, write_jsonl
-from .citations import CitationRelation, make_author_key
+from .artifacts import write_json, write_jsonl
+from .citations import CitationRelation
 from .dataset import (
     ICML_OPTIONAL_FIELDS,
     Pair,
@@ -368,12 +366,12 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
     rho = config.confounder_correlation
     z_cite = rng.standard_normal((S, k))
     z_exp = rho * z_cite + np.sqrt(max(0.0, 1.0 - rho**2)) * rng.standard_normal((S, k))
-    # norm.ppf is +inf at 1 and -inf at 0, so prevalence 0 cites no pair and 1 every pair.
-    cited = z_cite > norm.ppf(1.0 - config.citation_prevalence)
+    # ndtri is +inf at 1 and -inf at 0, so prevalence 0 cites no pair and 1 every pair.
+    cited = z_cite > ndtri(1.0 - config.citation_prevalence)
 
     exp_weights = _normalized(config.expertise_weights, 4, "expertise_weights")
     thresholds = np.cumsum(exp_weights)[:-1]
-    expertise = 1 + np.searchsorted(thresholds, norm.cdf(z_exp).ravel()).reshape(S, k)
+    expertise = 1 + np.searchsorted(thresholds, ndtr(z_exp).ravel()).reshape(S, k)
 
     quality = rng.normal(config.quality_mean, config.quality_sd, S)
     noise = rng.normal(0.0, config.noise_scale, (S, k))
@@ -502,108 +500,6 @@ def _render_reference_list(
     return entries
 
 
-@dataclass(frozen=True)
-class RenderedEntry:
-    submission_id: str
-    text: str
-    authors: tuple[tuple[str, str], ...]  # visible (last, first), in rendered order
-    format_id: int
-    had_etal: bool
-
-
-@dataclass(frozen=True)
-class ReferenceCorpus:
-    reviewers: list[Reviewer]
-    submissions: list[Submission]
-    entries: list[RenderedEntry]
-    embedded_truth: dict[Pair, bool]
-    colliding_keys: frozenset[str]
-
-
-def reference_corpus(config: GeneratorConfig) -> ReferenceCorpus:
-    """Parser-test corpus: rendered entries with exact author ground truth.
-
-    The pool contains two deliberate key collisions (same surname, same first
-    initial); every other reviewer key is unique.  Entries embed chosen pool
-    reviewers with known truth, mixed with filler authors whose surnames
-    never collide with the pool.
-    """
-    rng = np.random.default_rng(config.seed)
-    R = max(4, config.n_reviewers)
-    reviewers: list[Reviewer] = []
-    for i in range(R):
-        last, first = _reviewer_name(i)
-        reviewers.append(
-            Reviewer(id=f"r{i + 1:04d}", last_name=last, first_name=first, seniority=int(i % 2))
-        )
-    # Deliberate collisions: two Smith J., two Zhang W.
-    collision_specs = [("Smith", "John"), ("Smith", "Jane"), ("Zhang", "Wei"), ("Zhang", "Wen")]
-    for last, first in collision_specs:
-        reviewers.append(
-            Reviewer(
-                id=f"r{len(reviewers) + 1:04d}", last_name=last, first_name=first, seniority=0
-            )
-        )
-    keys = [make_author_key(r.last_name, r.first_name) for r in reviewers]
-    colliding = frozenset(key for key in keys if keys.count(key) > 1)
-
-    submissions: list[Submission] = []
-    entries: list[RenderedEntry] = []
-    truth: dict[Pair, bool] = {}
-    for s in range(config.n_submissions):
-        sid = f"s{s + 1:04d}"
-        embedded = rng.permutation(len(reviewers))[: int(rng.integers(0, 4))]
-        embedded_set = {int(i) for i in embedded}
-        texts = []
-        for i in sorted(embedded_set):
-            reviewer = reviewers[i]
-            n_filler = int(rng.integers(0, 3))
-            authors = [(reviewer.last_name, reviewer.first_name)] + [
-                _filler_author(rng) for _ in range(n_filler)
-            ]
-            perm = rng.permutation(len(authors))
-            authors = [authors[j] for j in perm]
-            fmt = int(rng.integers(0, 6))
-            etal = fmt != 4 and bool(rng.integers(0, 2))
-            text = render_entry(
-                authors, fmt, _random_title(rng), _VENUES[rng.integers(len(_VENUES))],
-                _random_year(rng), etal=etal,
-            )
-            entries.append(
-                RenderedEntry(
-                    submission_id=sid,
-                    text=text,
-                    authors=tuple(authors),
-                    format_id=fmt,
-                    had_etal=etal or fmt == 4,
-                )
-            )
-            texts.append(text)
-        if rng.integers(0, 4) == 0:
-            # An et-al-only entry: no visible authors at all.
-            text = render_entry(
-                [], 4, _random_title(rng), _VENUES[rng.integers(len(_VENUES))],
-                _random_year(rng), etal=True,
-            )
-            entries.append(
-                RenderedEntry(
-                    submission_id=sid, text=text, authors=(), format_id=4, had_etal=True
-                )
-            )
-            texts.append(text)
-        submissions.append(Submission(id=sid, reference_entries=tuple(texts)))
-        for i, reviewer in enumerate(reviewers):
-            truth[(sid, reviewer.id)] = i in embedded_set
-
-    return ReferenceCorpus(
-        reviewers=reviewers,
-        submissions=submissions,
-        entries=entries,
-        embedded_truth=truth,
-        colliding_keys=colliding,
-    )
-
-
 def save_ground_truth(truth: GroundTruth, path: Path | str) -> None:
     pairs = [
         {
@@ -620,23 +516,6 @@ def save_ground_truth(truth: GroundTruth, path: Path | str) -> None:
         "pairs": pairs,
     }
     write_json(path, payload)
-
-
-def load_ground_truth(path: Path | str) -> GroundTruth:
-    cited = {}
-    latent = {}
-    with parsing(path) as source:
-        payload = source.json()
-        for row in payload["pairs"]:
-            pair = (row["submission_id"], row["reviewer_id"])
-            cited[pair] = row["cited"]
-            latent[pair] = row["latent_score"]
-        return GroundTruth(
-            citation_bias=payload["citation_bias"],
-            quality=payload["quality"],
-            cited=cited,
-            latent_scores=latent,
-        )
 
 
 def save_references_jsonl(dataset: ReviewDataset, path: Path | str) -> None:

@@ -37,9 +37,10 @@ from revaudit.nonparametric import (
 )
 from revaudit.parametric import AnalysisRow, build_rows, fit_wls
 from revaudit.ranking import rank_improvement
-from revaudit.synthetic import GeneratorConfig, generate, reference_corpus
+from revaudit.synthetic import GeneratorConfig, generate
 from conftest import build_dataset, review
 from permutation_oracle import exact_permutation_p
+from reference_corpus import reference_corpus
 
 
 @contextmanager

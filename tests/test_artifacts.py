@@ -46,6 +46,19 @@ def load_dataset_beside(path):
     return ds.load_dataset(path.parent, VenueConfig.ec_like())
 
 
+def load_ground_truth(path):
+    """Read ``ground_truth.json`` back; no command reads it, so only this test does."""
+    with parsing(path) as source:
+        payload = source.json()
+        pairs = [((row["submission_id"], row["reviewer_id"]), row) for row in payload["pairs"]]
+        return syn.GroundTruth(
+            citation_bias=payload["citation_bias"],
+            quality=payload["quality"],
+            cited={pair: row["cited"] for pair, row in pairs},
+            latent_scores={pair: row["latent_score"] for pair, row in pairs},
+        )
+
+
 @pytest.fixture(scope="module")
 def artifacts():
     config = syn.GeneratorConfig.icml_like(
@@ -58,7 +71,7 @@ def artifacts():
     pairs = relation.pairs()
     relation = replace(
         relation, ambiguous_pairs=frozenset(pairs[1:3]), warnings=("submission 's0001': note",)
-    ).with_override(pairs[0], not relation.indicator(pairs[0]))
+    ).with_overrides({pairs[0]: not relation.indicator(pairs[0])})
     analysis, report = flt.filter_dataset(dataset, relation)
     report = replace(report, excluded_submissions=["s0002", "s0009"])
     fit = par.fit_wls(par.build_rows(analysis), config.policy)
@@ -75,7 +88,7 @@ def artifacts():
         "fit": (fit, par.save_fit, par.load_fit),
         "triples": (triples, npar.save_triples, npar.load_triples),
         "permutation": (result, npar.save_permutation_result, npar.load_permutation_result),
-        "ground_truth": (truth, syn.save_ground_truth, syn.load_ground_truth),
+        "ground_truth": (truth, syn.save_ground_truth, load_ground_truth),
     }
 
 
@@ -107,15 +120,12 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
          "edits.csv:2: missing key 'reviewer_id'"),
         (asg.load_edits, "edits.csv", "submission_id,reviewer_id,action\ns1,r1\n",
          "edits.csv:2: wrong shape"),
-        (asg.load_assignment_pairs, "assignment.csv", "submission_id\ns1\n",
-         "assignment.csv:2: missing key 'reviewer_id'"),
         (flt.load_filter_report, "filter_report.json", '{"bogus": 1}', "filter_report.json: "),
         (lambda path: flt.load_analysis_dataset(path, VenueConfig.ec_like()),
          "analysis.jsonl", '{"bogus": 1}\n', "analysis.jsonl:1: "),
         (par.load_fit, "fit.json", "{}", "fit.json: missing key 'ci95'"),
         (npar.load_triples, "triples.csv", "submission_id\ns1\n", "triples.csv:2: missing key"),
         (npar.load_permutation_result, "permutation.json", "[]", "permutation.json: "),
-        (syn.load_ground_truth, "ground_truth.json", '{"pairs": 3}', "ground_truth.json: "),
         (ds.load_venue_config, "venue.json", "[]", "venue.json: "),
         (load_dataset_beside, "reviews.jsonl", lines(REVIEW, {**REVIEW_2, "score": "5"}),
          "reviews.jsonl:2: score must be an integer, not str"),
@@ -215,8 +225,8 @@ def test_save_load_save_is_byte_identical(artifacts, name, tmp_path):
     ],
     ids=[
         "relation-no-pairs", "relation-list", "relation-row-key", "edits-column",
-        "edits-short-row", "assignment-column", "filter-report-key", "analysis-key",
-        "fit-key", "triples-column", "permutation-list", "ground-truth-pairs", "venue-list",
+        "edits-short-row", "filter-report-key", "analysis-key",
+        "fit-key", "triples-column", "permutation-list", "venue-list",
         "review-score-string", "review-expertise-null", "review-id-list", "review-extra-key",
         "reviewer-last-name-int", "reviewer-first-name-null", "reviewer-id-list",
         "submission-entries-string", "submission-entry-int", "references-entries-string",
@@ -255,7 +265,13 @@ RELATION_ROW = {"submission_id": "s1", "reviewer_id": "r1", "cited": False, "amb
      lines(ANALYSIS_RECORD, {**ANALYSIS_RECORD, "reviewer_id": "r2"},
            {**ANALYSIS_RECORD, "cited": True}),
      "analysis.jsonl:3: duplicate record for pair ('s1', 'r1')"),
-], ids=["relation", "analysis"])
+    (asg.load_similarity, "similarity.csv",
+     "submission_id,reviewer_id,sim\ns1,r1,0.9\ns1,r2,0.5\ns1,r1,0.1\n",
+     "similarity.csv:4: duplicate pair ('s1', 'r1')"),
+    (cit.load_overrides_csv, "overrides.csv",
+     "submission_id,reviewer_id,cited\ns1,r1,1\ns1,r2,1\ns1,r1,0\n",
+     "overrides.csv:4: duplicate pair ('s1', 'r1')"),
+], ids=["relation", "analysis", "similarity", "overrides"])
 def test_a_repeated_pair_is_a_validation_error_naming_it(load, name, content, message, tmp_path):
     path = tmp_path / name
     path.write_text(content)

@@ -17,7 +17,6 @@ from revaudit.assignment import (
     AssignmentSpec,
     SimilarityMatrix,
     apply_edits,
-    citation_coverage,
     forbidden_from_bids,
     solve,
     tradeoff_sweep,
@@ -49,6 +48,13 @@ def feasible_assignments(sim: SimilarityMatrix, spec: AssignmentSpec):
                     feasible = False
         if feasible:
             yield {(p, r) for p, chosen in zip(papers, combo) for r in chosen}
+
+
+def citation_coverage(assignment, relation) -> float:
+    """Fraction of assigned papers with at least one cited reviewer."""
+    papers = {p for p, _ in assignment.pairs}
+    covered = {p for p, r in assignment.pairs if relation.indicator((p, r))}
+    return len(covered) / len(papers)
 
 
 def brute_force_best_objective(sim: SimilarityMatrix, relation, spec: AssignmentSpec):
@@ -234,14 +240,27 @@ def test_huge_lambda_reaches_the_min_cost_flow_optimum(weight):
     )
 
 
-def test_cli_import_leaves_out_networkx():
-    code = "import sys, revaudit.cli; print('networkx' in sys.modules)"
+def _modules_loaded_by(statement: str) -> set[str]:
+    """The module names in sys.modules after ``statement`` runs in a fresh interpreter."""
+    code = f"import sys; {statement}; print('\\n'.join(sys.modules))"
     src = str(Path(revaudit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.strip() == "False"
+    return set(done.stdout.split())
+
+
+def test_cli_import_leaves_out_networkx():
+    # Only `assign` needs scipy.optimize and scipy.sparse; nothing needs scipy.stats.
+    loaded = _modules_loaded_by("import revaudit.cli")
+    assert "revaudit.cli" in loaded
+    for name in ("networkx", "scipy.stats", "scipy.optimize", "scipy.sparse",
+                 "revaudit.assignment"):
+        assert name not in loaded, name
+    package = _modules_loaded_by("import revaudit")
+    assert "revaudit" in package
+    assert not [name for name in package if name.startswith("revaudit.")]
 
 
 def test_sweep_monotonicity_on_random_instance():

@@ -23,7 +23,8 @@ from revaudit.citations import (
 )
 from revaudit.dataset import Reviewer, VenueConfig
 from revaudit.errors import ValidationError
-from revaudit.synthetic import GeneratorConfig, reference_corpus, render_entry
+from revaudit.synthetic import GeneratorConfig, render_entry
+from reference_corpus import reference_corpus
 
 
 def keys_of(parsed):
@@ -151,7 +152,7 @@ def test_override_flips_exactly_one_pair():
         [reviewer("r1", last="Smith", first="John"), reviewer("r2", last="Smith", first="Jane")],
     )
     relation = detect_citations(dataset, dataset.review_pairs())
-    flipped = relation.with_override(("s1", "r1"), True)
+    flipped = relation.with_overrides({("s1", "r1"): True})
     assert flipped.indicator(("s1", "r1")) is True
     for pair in relation.pairs():
         if pair != ("s1", "r1"):
@@ -162,7 +163,7 @@ def test_override_flips_exactly_one_pair():
 def test_override_unknown_pair_rejected():
     relation = CitationRelation(cited={("s1", "r1"): False})
     with pytest.raises(ValidationError):
-        relation.with_override(("s9", "r9"), True)
+        relation.with_overrides({("s9", "r9"): True})
     # Every pair is checked before any is applied; the first unknown one is named.
     overrides = {("s9", "r9"): True, ("s1", "r1"): True, ("s5", "r5"): False}
     with pytest.raises(ValidationError, match=r"unknown pair \('s5', 'r5'\)"):

@@ -13,9 +13,9 @@ from revaudit.parametric import build_rows, fit_wls
 from revaudit.synthetic import (
     GeneratorConfig,
     generate,
-    reference_corpus,
     render_entry,
 )
+from reference_corpus import reference_corpus
 
 
 def test_determinism_under_seed():
