@@ -68,6 +68,56 @@ def test_score_out_of_scale_names_the_record(tmp_path):
         load_dataset(tmp_path)
 
 
+VENUE_ICML = {"score_min": 1, "score_max": 6, "venue_policy": "ICML_LIKE", "bid_scale": [2, 5]}
+REVIEW_R2 = "review ('s1', 'r2')"
+
+
+@pytest.mark.parametrize(
+    "venue, reviewer_field, review_field, message",
+    [
+        (VENUE_ICML, {}, {"score": 7}, f"reviews.jsonl:2: {REVIEW_R2} has score 7 outside [1, 6]"),
+        (VENUE_5PT, {}, {"sr_expertise": 5},
+         f"reviews.jsonl:2: {REVIEW_R2} has sr_expertise 5 outside [1, 4]"),
+        (VENUE_ICML, {}, {"sr_confidence": 0},
+         f"reviews.jsonl:2: {REVIEW_R2} has sr_confidence 0 outside [1, 4]"),
+        (VENUE_ICML, {}, {"bid": 6}, f"reviews.jsonl:2: {REVIEW_R2} has bid 6 outside [2, 5]"),
+        (VENUE_5PT, {}, {"preference_value": 101},
+         f"reviews.jsonl:2: {REVIEW_R2} has preference_value 101 outside [-100, 100]"),
+        (VENUE_ICML, {}, {"text_overlap": 1.5},
+         f"reviews.jsonl:2: {REVIEW_R2}: text_overlap must lie in [0, 1]"),
+        (VENUE_5PT, {}, {"exclusion_adjudicated": True},
+         f"reviews.jsonl:2: {REVIEW_R2}: exclusion_adjudicated requires missing_citation_flag"),
+        (VENUE_5PT, {"seniority": 2}, {},
+         "reviewers.jsonl:2: reviewer 'r2': seniority must be 0 or 1, got 2"),
+        (VENUE_5PT, {"last_name": ""}, {},
+         "reviewers.jsonl:2: reviewer 'r2': last_name must be non-empty"),
+    ],
+    ids=["score", "sr_expertise", "sr_confidence", "bid", "preference_value", "text_overlap",
+         "exclusion_adjudicated", "seniority", "last_name"],
+)
+def test_each_load_rule_names_the_line_and_the_value(
+    tmp_path, venue, reviewer_field, review_field, message
+):
+    """Line 1 of each file is valid; line 2 breaks one rule."""
+    write_dataset_files(
+        tmp_path,
+        venue,
+        [
+            {"id": "r1", "last_name": "Doe", "first_name": "Jane", "seniority": 1},
+            {"id": "r2", "last_name": "Roe", "first_name": "Jo", "seniority": 0, **reviewer_field},
+        ],
+        [{"id": "s1"}],
+        [
+            {"submission_id": "s1", "reviewer_id": "r1", "score": 4, "sr_expertise": 3},
+            {"submission_id": "s1", "reviewer_id": "r2", "score": 3, "sr_expertise": 2,
+             **review_field},
+        ],
+    )
+    with pytest.raises(ValidationError) as caught:
+        load_dataset(tmp_path)
+    assert str(caught.value) == message
+
+
 def test_malformed_record_reports_line_number(tmp_path):
     write_dataset_files(tmp_path, VENUE_5PT, [], [], [])
     (tmp_path / "reviewers.jsonl").write_text(
