@@ -10,12 +10,11 @@ strings) supplements submissions whose inline entries are empty.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -73,6 +72,17 @@ class VenueConfig:
     def score_span(self) -> int:
         """Width of the admissible range of differenced statistics."""
         return self.score_max - self.score_min
+
+    def scales(self) -> dict[str, tuple[int, int]]:
+        """The inclusive range of each bounded review field this venue sets."""
+        scales = {
+            "score": (self.score_min, self.score_max),
+            "sr_expertise": self.expertise_scale,
+            "sr_confidence": self.expertise_scale,
+            "bid": self.bid_scale,
+            "preference_value": self.preference_range,
+        }
+        return {name: scale for name, scale in scales.items() if scale is not None}
 
     @classmethod
     def ec_like(cls, score_min: int = 1, score_max: int = 5) -> "VenueConfig":
@@ -171,9 +181,6 @@ class ReviewDataset:
     def review_pairs(self) -> set[Pair]:
         return {r.pair for r in self.reviews}
 
-    def reviews_by_submission(self) -> dict[str, list[ReviewRecord]]:
-        return {sid: list(rs) for sid, rs in groupby(self.reviews, attrgetter("submission_id"))}
-
 
 @dataclass(frozen=True)
 class SummaryTable:
@@ -181,9 +188,6 @@ class SummaryTable:
     n_submissions: int
     n_with_cited_reviewer: int
     fraction_with_cited: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     def format_text(self) -> str:
         pct = round(self.fraction_with_cited * 100)
@@ -283,6 +287,7 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
                     submissions[sid] = replace(submissions[sid], reference_entries=entries)
 
     # Ids are strings by now, so the membership tests reject any other id.
+    scales = config.scales()
     reviews: list[ReviewRecord] = []
     seen_pairs: set[Pair] = set()
     with parsing(root / REVIEWS_FILE) as source:
@@ -300,7 +305,9 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
             if record.pair in seen_pairs:
                 raise ValidationError(f"duplicate review for pair {record.pair}")
             seen_pairs.add(record.pair)
-            _validate_scales(record, config)
+            complaint = off_scale(record, scales)
+            if complaint:
+                raise ValidationError(f"{record._tag()} {complaint}")
             reviews.append(record)
 
     return ReviewDataset(
@@ -308,37 +315,14 @@ def load_dataset(path: Path | str, config: VenueConfig | None = None) -> ReviewD
     )
 
 
-def score_off_scale(score: float, config: VenueConfig) -> str | None:
-    """What is wrong with a score outside the venue scale (NaN included), else None."""
-    if config.score_min <= score <= config.score_max:
-        return None
-    return f"has score {score} outside [{config.score_min}, {config.score_max}]"
-
-
-def _validate_scales(record: ReviewRecord, config: VenueConfig) -> None:
-    complaint = score_off_scale(record.score, config)
-    if complaint:
-        raise ValidationError(f"{record._tag()} {complaint}")
-    lo, hi = config.expertise_scale
-    if not lo <= record.sr_expertise <= hi:
-        raise ValidationError(
-            f"{record._tag()} has sr_expertise {record.sr_expertise} outside [{lo}, {hi}]"
-        )
-    if record.sr_confidence is not None and not lo <= record.sr_confidence <= hi:
-        raise ValidationError(
-            f"{record._tag()} has sr_confidence {record.sr_confidence} outside [{lo}, {hi}]"
-        )
-    if record.bid is not None and config.bid_scale is not None:
-        blo, bhi = config.bid_scale
-        if not blo <= record.bid <= bhi:
-            raise ValidationError(f"{record._tag()} has bid {record.bid} outside [{blo}, {bhi}]")
-    if record.preference_value is not None and config.preference_range is not None:
-        plo, phi = config.preference_range
-        if not plo <= record.preference_value <= phi:
-            raise ValidationError(
-                f"{record._tag()} has preference_value {record.preference_value} "
-                f"outside [{plo}, {phi}]"
-            )
+def off_scale(record, scales: dict[str, tuple[int, int]]) -> str | None:
+    """What is wrong with the first field of ``scales`` that ``record`` holds
+    outside its range (NaN included), else None."""
+    for name, (lo, hi) in scales.items():
+        value = getattr(record, name)
+        if value is not None and not lo <= value <= hi:
+            return f"has {name} {value} outside [{lo}, {hi}]"
+    return None
 
 
 def save_dataset(dataset: ReviewDataset, path: Path | str) -> None:
@@ -355,18 +339,13 @@ def save_dataset(dataset: ReviewDataset, path: Path | str) -> None:
     write_jsonl(root / REVIEWS_FILE, map(record_fields, dataset.reviews))
 
 
-def ec_preference_missing(value: int | None) -> bool:
-    """EC-like venues store 0 for "not reported", so 0 counts as missing."""
-    return value is None or value == 0
-
-
 def preference_percentiles(
     reviewer_codes: np.ndarray, preferences: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """EC-like ``(pref_perc, missing_pref)`` per review.
 
-    ``preferences`` holds 0 where a preference is missing (see
-    :func:`ec_preference_missing`), which encodes as (0, 1).  A positive
+    ``preferences`` holds 0 where a preference is missing (EC-like venues
+    store 0 for "not reported"), which encodes as (0, 1).  A positive
     preference becomes its within-reviewer percentile over that reviewer's
     positive preferences, ``100 * #{greater} / (n - 1)`` (0 = top choice,
     100 = bottom; a single positive preference maps to 0).  A negative one
@@ -391,6 +370,14 @@ def preference_percentiles(
     greater = end - np.searchsorted(keys, key, side="right")
     pref_perc[positive] = 100.0 * greater / np.maximum(end - start - 1, 1)
     return pref_perc, missing_pref
+
+
+def number_submissions(reviews: Sequence[ReviewRecord]) -> tuple[list[str], np.ndarray]:
+    """The submission ids of ``reviews`` in order of first appearance, and each
+    review's index into them; for reviews in pair order, ids in sorted order."""
+    code_of: dict[str, int] = {}
+    codes = [code_of.setdefault(r.submission_id, len(code_of)) for r in reviews]
+    return list(code_of), np.array(codes, dtype=np.intp)
 
 
 def covariate_matrix(dataset: ReviewDataset) -> np.ndarray:
@@ -433,10 +420,8 @@ def covariate_matrix(dataset: ReviewDataset) -> np.ndarray:
 def summarize(dataset: ReviewDataset, relation: "CitationRelation") -> SummaryTable:
     """Headline counts over non-withdrawn submissions and the citation relation."""
     active = dataset.active_submissions()
-    by_submission = dataset.reviews_by_submission()
-    n_cited = sum(
-        any(relation.indicator(r.pair) for r in by_submission.get(s.id, ())) for s in active
-    )
+    with_cited = {r.submission_id for r in dataset.reviews if relation.indicator(r.pair)}
+    n_cited = sum(s.id in with_cited for s in active)
     fraction = n_cited / len(active) if active else 0.0
     return SummaryTable(
         n_reviewers=len(dataset.reviewers),

@@ -26,9 +26,9 @@ from .dataset import (
     VenueConfig,
     VenuePolicy,
     covariate_matrix,
-    ec_preference_missing,
+    number_submissions,
+    off_scale,
     policy_covariates,
-    score_off_scale,
 )
 from .errors import NoAnalyzableDataError, ValidationError
 
@@ -82,6 +82,7 @@ class FilterReport:
 class _Screen(NamedTuple):
     """The filtering rules as boolean masks over ``dataset.reviews``."""
 
+    covariates: np.ndarray  # covariate_matrix(dataset)
     cited: np.ndarray
     qualifying: np.ndarray  # active submission with both strata among all its reviews
     variables: tuple[str, ...]  # the venue's missing-value variables
@@ -93,34 +94,29 @@ class _Screen(NamedTuple):
 
 def _screen(dataset: ReviewDataset, relation: CitationRelation) -> _Screen:
     reviews = dataset.reviews
-    # Reviews are in pair order, so the codes number submission ids in order.
-    code_of: dict[str, int] = {}
-    codes = np.array(
-        [code_of.setdefault(r.submission_id, len(code_of)) for r in reviews], dtype=np.intp
-    )
+    sids, codes = number_submissions(reviews)
     cited = np.array([relation.indicator(r.pair) for r in reviews], dtype=bool)
 
     def per_submission(rows: np.ndarray) -> np.ndarray:
-        return np.bincount(codes[rows], minlength=len(code_of))
+        return np.bincount(codes[rows], minlength=len(sids))
 
     def both_strata(rows: np.ndarray) -> np.ndarray:
         """``rows`` of submissions with a cited and an uncited review among them."""
         n_rows, n_cited = per_submission(rows), per_submission(rows & cited)
         return rows & ((0 < n_cited) & (n_cited < n_rows))[codes]
 
-    submissions = dataset.submissions
-    active = np.array(
-        [sid in submissions and not submissions[sid].withdrawn for sid in code_of], dtype=bool
-    )
+    active_ids = {s.id for s in dataset.active_submissions()}
+    active = np.array([sid in active_ids for sid in sids], dtype=bool)
     qualifying = both_strata(active[codes])
+    covariates = covariate_matrix(dataset)
+    names = policy_covariates(dataset.config.venue_policy)
     icml = dataset.config.venue_policy == VenuePolicy.ICML_LIKE
     if icml:
         variables = ICML_OPTIONAL_FIELDS
-        flags = [[getattr(r, name) is None for r in reviews] for name in variables]
+        missing = np.isnan(covariates[:, [names.index(name) for name in variables]])
     else:
         variables = ("preference_value",)
-        flags = [[ec_preference_missing(r.preference_value) for r in reviews]]
-    missing = np.array(flags, dtype=bool).T
+        missing = covariates[:, [names.index("missing_pref")]] == 1
     # ICML-like venues drop a pair with a missing value; EC-like ones encode it.
     dropped = qualifying & missing.any(axis=1) if icml else np.zeros_like(qualifying)
     kept = both_strata(qualifying & ~dropped)
@@ -128,8 +124,8 @@ def _screen(dataset: ReviewDataset, relation: CitationRelation) -> _Screen:
     adjudicated = np.array([r.exclusion_adjudicated for r in reviews], dtype=bool)
     excluded = (per_submission(adjudicated) > 0) & (per_submission(kept) > 0)
     return _Screen(
-        cited, qualifying, variables, missing, kept & ~excluded[codes], int(dropped.sum()),
-        list(compress(code_of, excluded.tolist())),
+        covariates, cited, qualifying, variables, missing, kept & ~excluded[codes],
+        int(dropped.sum()), list(compress(sids, excluded.tolist())),
     )
 
 
@@ -157,7 +153,7 @@ def filter_dataset(
     kept = np.flatnonzero(screen.kept)
     records = []
     for i, cited, row in zip(
-        kept.tolist(), screen.cited[kept].tolist(), covariate_matrix(dataset)[kept].tolist()
+        kept.tolist(), screen.cited[kept].tolist(), screen.covariates[kept].tolist()
     ):
         review = dataset.reviews[i]
         score = float(review.score if scores is None else scores[review.pair])
@@ -178,15 +174,6 @@ class MissingnessReport:
     qualifying_pairs: int
     pairs_with_missing: int
     per_variable: dict[str, int]
-
-    def format_text(self) -> str:
-        lines = [
-            f"Pairs qualifying for analysis:   {self.qualifying_pairs:,}",
-            f"Pairs with any missing variable: {self.pairs_with_missing:,}",
-        ]
-        for name, count in self.per_variable.items():
-            lines.append(f"  missing {name}: {count:,}")
-        return "\n".join(lines)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -245,6 +232,7 @@ def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisData
     """
     names = set(policy_covariates(config.venue_policy))
     covariate_types = dict.fromkeys(names, float)
+    score_scale = {"score": config.scales()["score"]}
     by_submission: dict[str, list[AnalysisRecord]] = {}
     seen_pairs: set[Pair] = set()
     with parsing(path) as source:
@@ -253,7 +241,7 @@ def load_analysis_dataset(path: Path | str, config: VenueConfig) -> AnalysisData
             record = AnalysisRecord(**obj)
             covariates = record.covariates
             require_types(covariates, covariate_types)
-            complaint = score_off_scale(record.score, config)
+            complaint = off_scale(record, score_scale)
             if complaint:
                 raise ValidationError(f"record {complaint}")
             if covariates.keys() != names:

@@ -81,23 +81,24 @@ def compatible(
     return c["seniority"] == u["seniority"]
 
 
+def _augment(left: int, adj: list[list[int]], match_right: list[int], visited: list[bool]) -> bool:
+    """Look for an augmenting path from ``left``; on success, flip it into ``match_right``."""
+    for right in adj[left]:
+        if visited[right]:
+            continue
+        visited[right] = True
+        if match_right[right] == -1 or _augment(match_right[right], adj, match_right, visited):
+            match_right[right] = left
+            return True
+    return False
+
+
 def _max_matching_size(adj: list[list[int]], n_right: int) -> int:
     """Kuhn's augmenting-path maximum matching on a small bipartite graph."""
     match_right = [-1] * n_right
-
-    def try_augment(left: int, visited: list[bool]) -> bool:
-        for right in adj[left]:
-            if visited[right]:
-                continue
-            visited[right] = True
-            if match_right[right] == -1 or try_augment(match_right[right], visited):
-                match_right[right] = left
-                return True
-        return False
-
     size = 0
     for left in range(len(adj)):
-        if try_augment(left, [False] * n_right):
+        if _augment(left, adj, match_right, [False] * n_right):
             size += 1
     return size
 

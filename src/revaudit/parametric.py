@@ -182,7 +182,7 @@ def fit_wls(rows: list[AnalysisRow], policy: VenuePolicy) -> FitResult:
         t_stats[names[j]] = float(t_vals[idx])
         p_values[names[j]] = float(p_vals[idx])
 
-    t_crit = special.stdtrit(df, 0.975)
+    t_crit = float(special.stdtrit(df, 0.975))
     alpha = coefficients[CITATION_TERM]
     half = t_crit * std_errors[CITATION_TERM]
     return FitResult(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .dataset import Pair, ReviewDataset
+from .dataset import Pair, ReviewDataset, number_submissions
 from .errors import NoAnalyzableDataError, ValidationError
 
 AVERAGE_OVER_PAIRS = "pairs"
@@ -63,28 +63,23 @@ def rank_improvement(
     """
     if average_over not in (AVERAGE_OVER_PAIRS, AVERAGE_OVER_SUBMISSIONS):
         raise ValidationError(f"unknown averaging mode {average_over!r}")
-    by_submission = dataset.reviews_by_submission()
-    active = dataset.active_submissions()
+    active = {s.id for s in dataset.active_submissions()}
     if not active:
         raise NoAnalyzableDataError("no submissions to rank")
-    for submission in active:
-        if not by_submission.get(submission.id):
-            raise ValidationError(f"submission {submission.id!r} has no reviews")
+    records = [record for record in dataset.reviews if record.submission_id in active]
+    sids, codes = number_submissions(records)
+    if len(sids) < len(active):
+        raise ValidationError(f"submission {min(active.difference(sids))!r} has no reviews")
 
-    sids = [s.id for s in active]
     n = len(sids)
-    means = np.array(
-        [np.mean([r.score for r in by_submission[sid]]) for sid in sids], dtype=float
-    )
-
-    records = [record for sid in sids for record in by_submission[sid]]
-    counts = np.array([len(by_submission[sid]) for sid in sids])
-    own = np.repeat(means, counts)
     scores = np.array([record.score for record in records], dtype=float)
+    counts = np.bincount(codes)
+    means = np.bincount(codes, weights=scores) / counts
+    own = means[codes]
     raised = scores + 1
     if cap:
         raised = np.minimum(raised, dataset.config.score_max)
-    new_means = own + (raised - scores) / np.repeat(counts, counts)
+    new_means = own + (raised - scores) / counts[codes]
 
     ordered = np.sort(means)
     rank_before = _expected_ranks(own, own, ordered)

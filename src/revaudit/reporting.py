@@ -62,7 +62,6 @@ def build_parametric_report(
     fit: FitResult,
     analysis: AnalysisDataset,
     filter_report: FilterReport,
-    venue_label: str | None = None,
 ) -> BiasReport:
     config = analysis.config
     _check_statistic(fit.citation_effect, config)
@@ -84,7 +83,7 @@ def build_parametric_report(
     else:
         missing_citations = "Removed"
     return BiasReport(
-        venue_label=venue_label or policy.value,
+        venue_label=policy.value,
         analysis=PARAMETRIC,
         n_submissions=fit.n_rows,
         n_reviewers=len(analysis.reviewers()),
@@ -104,7 +103,6 @@ def build_nonparametric_report(
     result: PermutationResult,
     triples: list[MatchedTriple],
     config: VenueConfig,
-    venue_label: str | None = None,
 ) -> BiasReport:
     _check_statistic(result.statistic, config)
     submissions = {t.submission_id for t in triples}
@@ -122,7 +120,7 @@ def build_nonparametric_report(
         else (result.statistic, result.statistic)
     )
     return BiasReport(
-        venue_label=venue_label or config.venue_policy.value,
+        venue_label=config.venue_policy.value,
         analysis=NONPARAMETRIC,
         n_submissions=len(submissions),
         n_reviewers=len(reviewers),

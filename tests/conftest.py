@@ -48,6 +48,14 @@ def build_dataset(config, reviewers, submissions, reviews):
     )
 
 
+def reviews_by_submission(dataset):
+    """Each submission id with its reviews, in the dataset's pair order."""
+    by_submission = {}
+    for record in dataset.reviews:
+        by_submission.setdefault(record.submission_id, []).append(record)
+    return by_submission
+
+
 def relation_for(dataset, cited_pairs):
     """Relation marking exactly `cited_pairs` cited among the dataset's review pairs."""
     cited_pairs = set(cited_pairs)

@@ -38,7 +38,7 @@ from revaudit.nonparametric import (
 from revaudit.parametric import AnalysisRow, build_rows, fit_wls
 from revaudit.ranking import rank_improvement
 from revaudit.synthetic import GeneratorConfig, generate
-from conftest import build_dataset, review
+from conftest import build_dataset, review, reviews_by_submission
 from permutation_oracle import exact_permutation_p
 from reference_corpus import reference_corpus
 
@@ -455,7 +455,7 @@ def test_effect_size_properties_and_monte_carlo_agreement():
         dataset, _, _ = generate(config)
         outcome = rank_improvement(dataset)
         assert all(v >= 0.0 for v in outcome.per_pair_improvement.values())
-        by_submission = dataset.reviews_by_submission()
+        by_submission = reviews_by_submission(dataset)
         means = {
             sid: float(np.mean([r.score for r in records]))
             for sid, records in by_submission.items()

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_dataset, relation_for, review, reviewer, submission
+from conftest import (
+    build_dataset, relation_for, review, reviewer, reviews_by_submission, submission,
+)
 from revaudit.dataset import VenueConfig, VenuePolicy
 from revaudit.errors import NoAnalyzableDataError
 from revaudit.filtering import (
-    MissingnessReport,
     filter_dataset,
     missingness_report,
     save_analysis_dataset,
@@ -209,20 +210,6 @@ def test_missingness_report_all_zero_on_complete_data():
     assert all(v == 0 for v in table.per_variable.values())
 
 
-def test_missingness_report_rendering_shape():
-    # Format check with the venue-scale magnitudes used in published tables.
-    table = MissingnessReport(
-        qualifying_pairs=3335,
-        pairs_with_missing=578,
-        per_variable={"sr_confidence": 0, "text_overlap": 439, "bid": 159},
-    )
-    text = table.format_text()
-    assert "3,335" in text
-    assert "578" in text
-    assert "439" in text
-    assert "159" in text
-
-
 # --- pinned analysis artifact ----------------------------------------------
 
 PINNED = Path(__file__).parent / "data"
@@ -359,7 +346,7 @@ def reference_filter(dataset, relation):
         return 0 < n_cited < len(records)
 
     kept, dropped, excluded = {}, 0, []
-    for sid, records in sorted(dataset.reviews_by_submission().items()):
+    for sid, records in sorted(reviews_by_submission(dataset).items()):
         if sid not in dataset.submissions or dataset.submissions[sid].withdrawn:
             continue
         if not both_strata(records):

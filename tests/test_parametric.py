@@ -149,6 +149,17 @@ def test_fit_output_shape_for_reporting():
     assert fit.df == n - 5
 
 
+@pytest.mark.parametrize("policy", [VenuePolicy.EC_LIKE, VenuePolicy.ICML_LIKE])
+def test_every_fit_number_is_a_python_float(policy):
+    """No NumPy scalar leaks out, so a fit equals its ``fit.json`` copy in type too."""
+    fit = fit_wls(_generated_rows(policy, 200, 7), policy)
+    numbers = [fit.citation_effect, fit.noise_scale_hat, *fit.ci95]
+    for table in (fit.coefficients, fit.std_errors, fit.t_stats, fit.p_values):
+        numbers.extend(table.values())
+    assert [type(v) for v in numbers] == [float] * len(numbers)
+    assert (type(fit.n_rows), type(fit.df)) == (int, int)
+
+
 def test_rank_deficient_design_names_columns():
     # Exact collinearity must raise.  At noise 2.5e-14 an SVD rank test calls
     # the design deficient while the pivoted-QR rule does not; either way a

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_dataset, review, reviewer, submission
+from conftest import build_dataset, review, reviewer, reviews_by_submission, submission
 from revaudit.dataset import VenueConfig
 from revaudit.errors import NoAnalyzableDataError, ValidationError
 from revaudit.ranking import rank_improvement
@@ -162,7 +162,7 @@ def test_average_improvement_near_published_magnitude():
 
 def per_pair_oracle(dataset, cap, average_over):
     """The per-pair rule: each submission's midranks counted against all other means."""
-    by_submission = dataset.reviews_by_submission()
+    by_submission = reviews_by_submission(dataset)
     sids = [s.id for s in dataset.active_submissions()]
     n = len(sids)
     means = np.array([np.mean([r.score for r in by_submission[sid]]) for sid in sids])
