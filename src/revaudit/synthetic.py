@@ -37,6 +37,9 @@ from .dataset import (
 )
 from .errors import InfeasibleAssignmentError, ValidationError
 
+# Most uniform keys held at once while drawing reviewer assignments.
+DRAW_BLOCK = 1 << 20
+
 # Reviewer-pool surnames (with particles, hyphens, diacritics) and first names.
 POOL_LAST_NAMES = (
     "Abernathy", "Bhattacharya", "Castellanos", "Dubois", "Ehrlich", "Fontaine",
@@ -359,8 +362,17 @@ def generate(config: GeneratorConfig) -> tuple[ReviewDataset, CitationRelation, 
         for i, rid in enumerate(reviewer_ids)
     }
 
-    # The k smallest of each row's uniform keys: a uniform k-subset.
-    assign = np.argpartition(rng.random((S, R)), k - 1, axis=1)[:, :k]
+    # The k smallest of each row's uniform keys: a uniform k-subset.  The
+    # S x R keys are drawn in row blocks of at most DRAW_BLOCK values, so
+    # memory stays linear in the venue size; Generator.random fills in C
+    # order, so the blocks read the same stream as one S x R draw.
+    assign = np.empty((S, k), dtype=np.intp)
+    rows = max(1, DRAW_BLOCK // R)
+    for start in range(0, S, rows):
+        keys = rng.random((min(rows, S - start), R))
+        # Copy the k columns out: the slice is a view that would keep the
+        # block's whole index array alive.
+        assign[start:start + len(keys)] = np.argpartition(keys, k - 1, axis=1)[:, :k]
     assign.sort(axis=1)
 
     rho = config.confounder_correlation

@@ -76,3 +76,16 @@ def generated_bytes_digest(policy: str, params: dict, workdir) -> str:
 def test_generate_writes_the_pinned_bytes(name, tmp_path):
     policy, params = CASES[name]
     assert generated_bytes_digest(policy, params, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("block", [1, 100, 4096])
+def test_the_pins_hold_across_draw_blocks(block, tmp_path, monkeypatch):
+    # Every pinned venue fits in one block of the default size.  Smaller
+    # blocks split the reviewer-key draw across rows (100 keys over the
+    # 32-reviewer ICML pool gives 3-row blocks and a 1-row last block; 1 gives
+    # one row per block), and must read the same stream.
+    monkeypatch.setattr(syn, "DRAW_BLOCK", block)
+    for name, (policy, params) in CASES.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        assert generated_bytes_digest(policy, params, workdir) == DIGESTS[name], name

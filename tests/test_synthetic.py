@@ -1,5 +1,6 @@
 """Generator determinism, model fidelity, and the confounding demonstration."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,6 +163,22 @@ def test_infeasible_pool_is_an_error():
     with pytest.raises(InfeasibleAssignmentError):
         generate(GeneratorConfig.ec_like(n_submissions=5, reviewers_per_paper=4,
                                          n_reviewers=3, seed=1))
+
+
+def test_generate_memory_is_bounded_by_the_draw_block():
+    # 3,000 submissions x 3,000 reviewers: 9M reviewer keys, 72 MB as one
+    # draw and 9 blocks at the default DRAW_BLOCK.  Drawing them at once
+    # peaked at 145 MB; the blocked draw peaks near 18 MB.
+    config = GeneratorConfig.icml_like(
+        n_submissions=3000, reviewers_per_paper=5, render_references=False, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        generate(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"generate peaked at {peak / 2**20:.1f} MB"
 
 
 def test_bad_coefficient_keys_rejected():
