@@ -9,6 +9,7 @@ a machine-readable JSON object on stderr and exit non-zero.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from pathlib import Path
@@ -394,26 +395,34 @@ def report(workdir, venue_config):
     click.echo(text, nl=False)
 
 
+def _print_error(error: dict) -> None:
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
+    # Each command frees what it allocates by reference counting, and
+    # tests/test_reference_cycles.py checks this per command.  So the cyclic
+    # collector would only re-scan live, acyclic records; pause it for the
+    # command and restore whatever state the caller had.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
     except RevauditError as exc:
-        json.dump({"error": exc.payload()}, sys.stderr)
-        sys.stderr.write("\n")
+        _print_error(exc.payload())
         return exc.exit_code
     except click.UsageError as exc:
-        json.dump({"error": {"type": "UsageError", "message": exc.format_message()}}, sys.stderr)
-        sys.stderr.write("\n")
+        _print_error({"type": "UsageError", "message": exc.format_message()})
         return 2
     except click.exceptions.Abort:
         return 130
     except FileNotFoundError as exc:
-        json.dump(
-            {"error": {"type": "MissingArtifactError", "message": str(exc)}}, sys.stderr
-        )
-        sys.stderr.write("\n")
+        _print_error({"type": "MissingArtifactError", "message": str(exc)})
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

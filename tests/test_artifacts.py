@@ -1,10 +1,15 @@
 """Canonical artifact formats: saving a loaded artifact reproduces its bytes."""
 
 import json
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from revaudit import artifacts as art
 from revaudit import assignment as asg
 from revaudit import citations as cit
 from revaudit import dataset as ds
@@ -12,7 +17,7 @@ from revaudit import filtering as flt
 from revaudit import nonparametric as npar
 from revaudit import parametric as par
 from revaudit import synthetic as syn
-from revaudit.artifacts import parsing
+from revaudit.artifacts import parsing, write_json
 from revaudit.dataset import VenueConfig
 from revaudit.errors import ParseError, ValidationError
 
@@ -318,3 +323,56 @@ def test_json_lines_reader_objects_and_errors(content, expected, tmp_path):
     else:
         with parsing(path) as source:
             assert repr(list(source.jsonl())) == repr(expected)
+
+
+# Strings that could be taken for layout: a row separator, raw newlines, escapes.
+TRICKY_TEXT = ['"', "\\", "\n", "},\n", "},\n    {", '"},\n  {"a": 1', "é ☃ 𝄞"]
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324]),
+    st.text(),
+    st.sampled_from(TRICKY_TEXT),
+)
+KEYS = st.text() | st.sampled_from(TRICKY_TEXT)
+# json.dump writes number and bool keys as text; numbers and bools sort together.
+NUMBER_KEYS = st.one_of(st.integers(), st.floats(), st.booleans())
+ROWS = st.lists(st.dictionaries(KEYS, SCALARS, min_size=1, max_size=4), min_size=1, max_size=7)
+VALUES = st.recursive(
+    SCALARS | ROWS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+        st.dictionaries(NUMBER_KEYS, inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@given(obj=VALUES, block=st.sampled_from([1, 2, 3, art.ROW_BLOCK]))
+@settings(max_examples=400, deadline=None)
+def test_write_json_writes_the_bytes_of_json_dump(obj, block, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "write_json.json"
+    with mock.patch.object(art, "ROW_BLOCK", block):
+        write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_write_json_memory_is_bounded_by_the_row_block(tmp_path):
+    rows = [
+        {"submission_id": f"s{i:06d}", "reviewer_id": f"r{i:06d}", "cited": i % 3 == 0,
+         "ambiguous": i % 11 == 0}
+        for i in range(200_000)
+    ]
+    # A flat object as large, like ground_truth.json's "quality".
+    quality = {row["submission_id"]: i for i, row in enumerate(rows)}
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "ground_truth.json", {"pairs": rows, "quality": quality})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"write_json peaked at {peak / 2**20:.1f} MB"

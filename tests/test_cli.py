@@ -1,5 +1,6 @@
 """Pipeline wiring: stage ordering, artifact determinism, and report shape."""
 
+import gc
 import itertools
 import json
 from pathlib import Path
@@ -58,6 +59,24 @@ def test_missing_input_files_reported(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", "--workdir", str(tmp_path))
     assert code == 1
     assert json.loads(err)["error"]["type"] == "MissingArtifactError"
+
+
+@pytest.mark.parametrize("args, code", [
+    (("simulate", "--policy", "EC_LIKE", "--seed", "1", "--config", "{wd}/gen.json"), 0),
+    (("ingest",), 1),
+    (("ingest", "--bogus"), 2),
+], ids=["success", "toolkit-error", "usage-error"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_cyclic_collector(tmp_path, capsys, args, code, enabled):
+    (tmp_path / "gen.json").write_text(json.dumps({"n_submissions": 12, "n_reviewers": 8}))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        result = run(capsys, *(arg.format(wd=tmp_path) for arg in args), "--workdir", str(tmp_path))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert result[0] == code, result[2]
 
 
 def test_artifacts_are_byte_identical_across_reruns(tmp_path, capsys):
